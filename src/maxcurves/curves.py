@@ -36,8 +36,6 @@ class Place:
     id: str
     class_tag: str
     e: int
-    coords: tuple | None = None
-    degree: int = 1
 
 
 class PlaceCensus:
@@ -128,17 +126,11 @@ def genus_plane_smooth(deg: int) -> int:
 
 
 def genus_fk(q: int) -> int:
-    """Genus (q^2-q+4)/6 of the degree-3 Kummer cover, cross-checked
-    against its Riemann-Hurwitz form 1 + 3(g0 - 1) + (q+1)."""
+    """Genus (q^2-q+4)/6 of the degree-3 Kummer cover (an integer for
+    every odd q = 2 mod 3); the report cross-checks it against the
+    Riemann-Hurwitz form."""
     _validate_fk_q(q)
-    g0 = genus_plane_smooth((q + 1) // 3)
-    rh = 1 + 3 * (g0 - 1) + (q + 1)
-    if (q * q - q + 4) % 6:
-        raise ValueError("non-integer genus: invalid parameters")
-    closed = (q * q - q + 4) // 6
-    if rh != closed:
-        raise ValueError(f"genus cross-check failed: RH {rh} != closed form {closed}")
-    return closed
+    return (q * q - q + 4) // 6
 
 
 def maximal_N(q: int, g: int) -> int:
@@ -230,7 +222,7 @@ def hermitian_affine_points(qbar: int, F: FieldSpec):
     return points
 
 
-def count_gk_places(qbar: int) -> PlaceCensus:
+def count_gk_places(curve: CurveModel) -> PlaceCensus:
     """Classify every degree-one place of the GK curve over F_{qbar^6}.
 
     For an affine Hermitian point (x0, y0), with num = x0^(qbar^2-1) - 1
@@ -241,8 +233,10 @@ def count_gk_places(qbar: int) -> PlaceCensus:
     * den != 0 and y0*num == 0: simple zero of u, fully ramified, 1 place.
     * den == 0 (forces y0 = 0): v(u) = v(y) + v(num) - v(den) = 1,
       again a simple zero of u, fully ramified, 1 place.
+
+    The census only counts; the report judges it against Hasse-Weil.
     """
-    curve = gk_curve(qbar)
+    qbar = curve.params["qbar"]
     F = curve.field
     d = curve.params["d"]
     census = PlaceCensus()
@@ -262,32 +256,27 @@ def count_gk_places(qbar: int) -> PlaceCensus:
                 z0 = min(roots, key=lambda e: e.code)
                 census.add(AFFINE_SPLIT, len(roots),
                            Place(f"gk:x={x0.code},y={y0.code},z={z0.code}",
-                                 AFFINE_SPLIT, 1, (x0.code, y0.code, z0.code)))
+                                 AFFINE_SPLIT, 1))
             else:
                 inert_fibers += 1
         else:
             census.add(ZERO_OF_COVER, 1,
-                       Place(f"gk:x={x0.code},y={y0.code},z=0",
-                             ZERO_OF_COVER, d, (x0.code, y0.code, 0)))
+                       Place(f"gk:x={x0.code},y={y0.code},z=0", ZERO_OF_COVER, d))
     census.add(INFINITE, 1, Place("gk:P0", INFINITE, d))
     census.meta["split_fibers"] = split_fibers
     census.meta["inert_fibers"] = inert_fibers
-    expected = maximal_N(curve.q, genus_gk(qbar))
-    if census.total != expected:
-        raise ArithmeticError(
-            f"GK census {census.total} != Hasse-Weil count {expected}")
     return census
 
 
-def count_gsx49_places() -> PlaceCensus:
+def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     """Census of z^16 = t(t+1)^6 over F_49.
 
     Affine fibers are counted over t0 outside {0, -1}; the places over
     t = 0, t = -1 and t = infinity (1 + 2 + 1 of them) are transcribed
     from the principal-divisor data, not recomputed from the singular
-    plane model.
+    plane model.  The census only counts; the report judges it.
     """
-    F = make_field(7, 2)
+    F = curve.field
     census = PlaceCensus()
     minus_one = F.from_int(-1)
     sixteenth_power_fibers = 0
@@ -300,28 +289,25 @@ def count_gsx49_places() -> PlaceCensus:
             sixteenth_power_fibers += 1
             z0 = min(roots, key=lambda e: e.code)
             census.add(AFFINE_SPLIT, len(roots),
-                       Place(f"gsx49:t={t0.code},z={z0.code}", AFFINE_SPLIT, 1,
-                             (t0.code, z0.code)))
+                       Place(f"gsx49:t={t0.code},z={z0.code}", AFFINE_SPLIT, 1))
     census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", ZERO_OF_COVER, 1))   # over t=0
     census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", ZERO_OF_COVER, 1))   # over t=-1
     census.add(INFINITE, 1, Place("gsx49:Pinf", INFINITE, 1))
     census.meta["sixteenth_power_fibers"] = sixteenth_power_fibers
-    expected = maximal_N(7, genus_gsx(7, 3))
-    if census.total != expected:
-        raise ArithmeticError(
-            f"GSX49 census {census.total} != Hasse-Weil count {expected}")
     return census
 
 
-def count_fk_places(q: int) -> PlaceCensus:
+def count_fk_places(curve: CurveModel) -> PlaceCensus:
     """Census of the degree-3 Kummer cover over F_{q^2}.
 
     Affine base points (a, b) with a^((q+1)/3) + b^((q+1)/3) + 1 = 0 and
-    ab != 0 must each carry exactly 3 rational places above (the cubic
-    T^3 - w a b always splits; this is asserted at every point).  Zeros
-    and poles of xy are fully ramified and give q+1 places in total.
+    ab != 0 must each carry exactly 3 rational places above: condition
+    (5) puts 3(ab)^((q+1)/3) in F_q, so the cubic T^3 - w a b splits.  A
+    point where either fails is counted in meta["condition5_violations"]
+    and contributes no places; the report judges the count.  Zeros and
+    poles of xy are fully ramified and give q+1 places in total.
     """
-    curve = fk_curve(q)
+    q = curve.q
     F = curve.field
     w = curve.constants["w"]
     m3 = (q + 1) // 3
@@ -333,30 +319,21 @@ def count_fk_places(q: int) -> PlaceCensus:
         for b in sorted(nth_roots(rhs, m3), key=lambda e: e.code):
             if a.is_zero() or b.is_zero():
                 census.add(ZERO_OF_COVER, 1,
-                           Place(f"fk:a={a.code},b={b.code}", ZERO_OF_COVER, 3,
-                                 (a.code, b.code)))
+                           Place(f"fk:a={a.code},b={b.code}", ZERO_OF_COVER, 3))
                 continue
             roots = nth_roots(w * a * b, 3)
-            if len(roots) != 3:
+            if (len(roots) != 3
+                    or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
                 violations += 1
                 continue
-            # condition (5): 3(ab)^((q+1)/3) lands in F_q, hence 3 roots
-            assert is_in_subfield(3 * (a * b) ** m3, F.k // 2)
             z0 = min(roots, key=lambda e: e.code)
             census.add(AFFINE_SPLIT, 3,
                        Place(f"fk:a={a.code},b={b.code},z={z0.code}",
-                             AFFINE_SPLIT, 1, (a.code, b.code, z0.code)))
+                             AFFINE_SPLIT, 1))
     census.add(INFINITE, m3, Place("fk:Pinf,1", INFINITE, 3))
     census.meta["condition5_violations"] = violations
-    if violations:
-        raise ArithmeticError(
-            f"FK split condition violated at {violations} affine points")
     ramified = census.counts.get(ZERO_OF_COVER, 0) + census.counts.get(INFINITE, 0)
     census.meta["fully_ramified_places"] = ramified
-    expected = maximal_N(q, genus_fk(q))
-    if census.total != expected:
-        raise ArithmeticError(
-            f"FK census {census.total} != Hasse-Weil count {expected}")
     return census
 
 
@@ -404,7 +381,6 @@ class PrincipalDivisorTable:
 
     curve_family: str
     entries: dict[str, Divisor]
-    target_hint: str | None = None
 
     def __post_init__(self):
         for sym, div in self.entries.items():
@@ -427,7 +403,6 @@ def gsx49_divisor_table() -> PrincipalDivisorTable:
             "z": Divisor({"P1": 3, "P2": 3, "P0": 1, "Pinf": -7}),
             "t+1": Divisor({"P1": 8, "P2": 8, "Pinf": -16}),
         },
-        target_hint="Pinf",
     )
 
 
@@ -451,7 +426,6 @@ def fk_divisor_table(q: int) -> PrincipalDivisorTable:
     return PrincipalDivisorTable(
         curve_family="FK",
         entries={"x": Divisor(x_div), "y-beta": Divisor(yb_div)},
-        target_hint="P0_beta",
     )
 
 

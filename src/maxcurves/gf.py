@@ -95,6 +95,22 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
+def _decode(code: int, p: int, k: int) -> list[int]:
+    """Coefficient vector (length k, low first) of a base-p field code."""
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _encode(coeffs: list[int], p: int) -> int:
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c % p
+    return code
+
+
 def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -169,22 +185,10 @@ class FieldSpec:
 
     # -- raw coefficient-vector arithmetic (used to bootstrap the tables)
 
-    def _decode(self, code: int) -> list[int]:
-        p, out = self.p, []
-        for _ in range(self.k):
-            out.append(code % p)
-            code //= p
-        return out
-
-    def _encode(self, coeffs: list[int]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + (c % self.p)
-        return code
-
     def _mul_codes_raw(self, a: int, b: int) -> int:
-        r = _poly_mulmod(self._decode(a), self._decode(b), list(self.modulus), self.p)
-        return self._encode(r + [0] * (self.k - len(r)))
+        p, k = self.p, self.k
+        return _encode(_poly_mulmod(_decode(a, p, k), _decode(b, p, k),
+                                    list(self.modulus), p), p)
 
     # -- table-backed element arithmetic
 
@@ -232,11 +236,6 @@ class FieldSpec:
     def from_int(self, n: int) -> FieldElement:
         """Embed an integer through the prime subfield (n mod p)."""
         return FieldElement(self, n % self.p)
-
-    def from_coeffs(self, coeffs: list[int]) -> FieldElement:
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        return FieldElement(self, self._encode(list(coeffs) + [0] * (self.k - len(coeffs))))
 
     def log(self, a: "FieldElement") -> int:
         if a.code == 0:
@@ -325,10 +324,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.code == 0
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.field._decode(self.code))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.code == other.code and self.field.signature == other.field.signature
@@ -372,37 +367,13 @@ def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> int:
     order = p ** k
     n = order - 1
     prime_divs = list(factorize(n))
-
-    def raw_pow(code: int, e: int) -> int:
-        # square-and-multiply on coefficient vectors; tables not built yet
-        result, base = [1], _decode_static(code, p, k)
-        while e:
-            if e & 1:
-                result = _poly_mulmod(result, base, list(modulus), p)
-            base = _poly_mulmod(base, base, list(modulus), p)
-            e >>= 1
-        return _encode_static(result, p, k)
-
+    mod = list(modulus)
+    # the tables are not built yet: powers on coefficient vectors
     for g in range(1, order):
-        if all(raw_pow(g, n // ell) != 1 for ell in prime_divs):
+        if all(_poly_powmod(_decode(g, p, k), n // ell, mod, p) != [1]
+               for ell in prime_divs):
             return g
     raise AssertionError("no generator found")  # unreachable for a field
-
-
-def _decode_static(code: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _encode_static(coeffs: list[int], p: int, k: int) -> int:
-    coeffs = list(coeffs) + [0] * (k - len(coeffs))
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + (c % p)
-    return code
 
 
 def enumerate_field(F: FieldSpec) -> list[FieldElement]:

@@ -116,8 +116,10 @@ def genus_via_apery(gens) -> int:
     m = generators[0]
     if m == 1:
         return 0
-    INF = float("inf")
-    dist = [INF] * m
+    # a shortest path takes at most m - 1 steps of at most the largest
+    # generator, so this integer exceeds every distance found
+    unreached = m * generators[-1]
+    dist = [unreached] * m
     dist[0] = 0
     heap = [(0, 0)]
     while heap:
@@ -129,7 +131,7 @@ def genus_via_apery(gens) -> int:
             if nd < dist[nr]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
-    return sum(int(w) // m for w in dist)
+    return sum(w // m for w in dist)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,9 @@ def deduce_epsilon_sequence(j2_values, q: int, p: int,
 
 
 # ---------------------------------------------------------------------------
-# per-curve reports
+# per-curve reports: one pipeline of shared steps; each family function
+# supplies only its census, semigroup source, expected sequences and
+# extra checks
 
 def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
     """Run the full verification pipeline for a catalog curve.
@@ -179,17 +181,12 @@ def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationRepo
     raise ValueError(f"unknown curve family {curve.family!r}")
 
 
-def _apply_delta(census: PlaceCensus, delta: int):
-    if delta:
-        census.add(curves.AFFINE_SPLIT, delta)
-        census.meta["injected_delta"] = delta
-
-
-def _seq(orders) -> list[int]:
-    return list(orders)
-
-
-def _base_report(curve: CurveModel, g: int, census: PlaceCensus) -> VerificationReport:
+def _start(curve: CurveModel, g: int, census: PlaceCensus,
+           census_delta: int) -> VerificationReport:
+    """Apply the census delta and build the report, with no checks yet."""
+    if census_delta:
+        census.add(curves.AFFINE_SPLIT, census_delta)
+        census.meta["injected_delta"] = census_delta
     return VerificationReport(
         curve=curve.to_fragment(),
         field_spec=curve.field.to_fragment(),
@@ -206,22 +203,40 @@ def _base_report(curve: CurveModel, g: int, census: PlaceCensus) -> Verification
     )
 
 
+def _dimension(report: VerificationReport, g: int,
+               S: NumericalSemigroup | None) -> int | None:
+    """Frobenius dimension r, read off the Weierstrass semigroup S at a
+    rational place or, when S is None, from the genus bound alone (None
+    unless the bound leaves a single candidate); checks r == 3."""
+    dims = sorted(deduce_frobenius_dimension(report.q, g))
+    if S is None:
+        r = dims[0] if len(dims) == 1 else None
+        info = {"from_bound": dims}
+    else:
+        r = numsg.frobenius_dimension_from_semigroup(S, report.q)
+        info = {"from_semigroup": r, "from_bound": dims}
+    report.frobenius_dimension = dict(info, bound_conclusive=len(dims) == 1)
+    report.checks.append(CheckResult(
+        "frobenius-dimension", r == 3 and r in dims, info))
+    return r
+
+
 def _finish_epsilon(report: VerificationReport, j2_by_class: dict[str, int],
-                    q: int, p: int, r: int, expected: tuple[int, ...]):
+                    r: int | None, expected: tuple[int, ...]):
     """Shared tail: deduce the generic orders, validate j_2 values."""
     try:
-        eps = deduce_epsilon_sequence(j2_by_class.values(), q, p,
+        eps = deduce_epsilon_sequence(j2_by_class.values(), report.q, report.p,
                                       frobenius_dimension=r)
-        report.epsilon_sequence = _seq(eps)
-        report.checks.append(CheckResult(
-            "epsilon-sequence", eps.orders == expected,
-            {"deduced": _seq(eps), "expected": list(expected)}))
     except ValueError as exc:
         report.checks.append(CheckResult(
             "epsilon-sequence", False, {"error": str(exc)}))
         return
+    report.epsilon_sequence = list(eps)
+    report.checks.append(CheckResult(
+        "epsilon-sequence", eps.orders == expected,
+        {"deduced": list(eps), "expected": list(expected)}))
     if eps.orders[2] == 2:
-        allowed = allowed_j2_values(q)
+        allowed = allowed_j2_values(report.q)
         bad = {cls: j for cls, j in j2_by_class.items() if j not in allowed}
         report.checks.append(CheckResult(
             "j2-values-allowed", not bad,
@@ -232,14 +247,13 @@ def _finish_epsilon(report: VerificationReport, j2_by_class: dict[str, int],
         "Weierstrass semigroup (automorphism transitivity)")
 
 
-def _gk_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
+def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     qbar = curve.params["qbar"]
     d = curve.params["d"]
     q = curve.q
     g = curves.genus_gk(qbar)
-    census = curves.count_gk_places(qbar)
-    _apply_delta(census, census_delta)
-    report = _base_report(curve, g, census)
+    census = curves.count_gk_places(curve)
+    report = _start(curve, g, census, census_delta)
     report.checks.append(check_maximal(census, g, q))
 
     # semigroup at fully ramified places
@@ -249,44 +263,33 @@ def _gk_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
     report.checks.append(CheckResult(
         "ramified-semigroup-gap-count", S.genus == g,
         {"generators": list(gens), "gaps": S.genus, "curve_genus": g}))
-
-    r = numsg.frobenius_dimension_from_semigroup(S, q)
-    dim_set = deduce_frobenius_dimension(q, g)
-    report.frobenius_dimension = {
-        "from_semigroup": r,
-        "from_bound": sorted(dim_set),
-        "bound_conclusive": len(dim_set) == 1,
-    }
-    report.checks.append(CheckResult(
-        "frobenius-dimension", r == 3 and r in dim_set,
-        {"from_semigroup": r, "from_bound": sorted(dim_set)}))
+    r = _dimension(report, g, S)
 
     ram = numsg.rational_point_orders(S, q)
-    report.order_sequences["ramified"] = _seq(ram)
+    report.order_sequences["ramified"] = list(ram)
     report.checks.append(CheckResult(
         "ramified-orders", ram.orders == (0, 1, d, q + 1),
-        {"computed": _seq(ram), "expected": [0, 1, d, q + 1]}))
+        {"computed": list(ram), "expected": [0, 1, d, q + 1]}))
 
     # unramified class: the transitivity argument pins a single shared
     # sequence; it is consumed as given, not recomputed
     unram = OrderSequence((0, 1, qbar, q + 1), role="rational-place-j")
-    report.order_sequences["unramified"] = _seq(unram)
+    report.order_sequences["unramified"] = list(unram)
 
     j2 = {"ramified": ram.orders[2], "unramified": unram.orders[2]}
     expected_eps2 = 3 if (curve.p == 3 and qbar == 3) else 2
-    _finish_epsilon(report, j2, q, curve.p, r, expected=(0, 1, expected_eps2, q))
+    _finish_epsilon(report, j2, r, (0, 1, expected_eps2, q))
     return report
 
 
-def _gsx49_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
-    q, m = 7, 3
+def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
+    q, m = curve.q, curve.params["m"]
     g = curves.genus_gsx(q, m)
-    census = curves.count_gsx49_places()
-    _apply_delta(census, census_delta)
-    report = _base_report(curve, g, census)
+    census = curves.count_gsx49_places(curve)
+    report = _start(curve, g, census, census_delta)
     report.checks.append(check_maximal(census, g, q))
 
-    k = census.meta.get("sixteenth_power_fibers", -1)
+    k = census.meta["sixteenth_power_fibers"]
     report.checks.append(CheckResult(
         "sixteenth-power-fiber-count", 16 * k + 4 == census.total,
         {"fibers_with_16_roots": k, "reconstructed_total": 16 * k + 4}))
@@ -310,37 +313,25 @@ def _gsx49_report(curve: CurveModel, census_delta: int = 0) -> VerificationRepor
     report.checks.append(CheckResult(
         "semigroup-gap-count", S.genus == g,
         {"gaps": S.genus, "curve_genus": g}))
-
-    r = numsg.frobenius_dimension_from_semigroup(S, q)
-    dim_set = deduce_frobenius_dimension(q, g)
-    report.frobenius_dimension = {
-        "from_semigroup": r,
-        "from_bound": sorted(dim_set),
-        "bound_conclusive": len(dim_set) == 1,
-    }
-    report.checks.append(CheckResult(
-        "frobenius-dimension", r == 3 and r in dim_set,
-        {"from_semigroup": r, "from_bound": sorted(dim_set)}))
+    r = _dimension(report, g, S)
 
     orders = numsg.rational_point_orders(S, q)
-    report.order_sequences["Pinf"] = _seq(orders)
+    report.order_sequences["Pinf"] = list(orders)
     floor_form = q + 1 - (2 * (q + 1)) // 3
     report.checks.append(CheckResult(
         "j2-at-Pinf", orders.orders == (0, 1, 3, 8) and orders.orders[2] == floor_form,
-        {"orders": _seq(orders), "floor_form": floor_form}))
+        {"orders": list(orders), "floor_form": floor_form}))
 
-    _finish_epsilon(report, {"Pinf": orders.orders[2]}, q, curve.p, r,
-                    expected=(0, 1, 2, q))
+    _finish_epsilon(report, {"Pinf": orders.orders[2]}, r, (0, 1, 2, q))
     return report
 
 
-def _fk_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
+def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     q = curve.q
     g = curves.genus_fk(q)
     g0 = curves.genus_plane_smooth((q + 1) // 3)
-    census = curves.count_fk_places(q)
-    _apply_delta(census, census_delta)
-    report = _base_report(curve, g, census)
+    census = curves.count_fk_places(curve)
+    report = _start(curve, g, census, census_delta)
     report.genus["riemann_hurwitz"] = 1 + 3 * (g0 - 1) + (q + 1)
     report.genus["closed_form"] = (q * q - q + 4) // 6
     report.checks.append(CheckResult(
@@ -348,23 +339,15 @@ def _fk_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
         dict(report.genus)))
     report.checks.append(check_maximal(census, g, q))
 
+    violations = census.meta["condition5_violations"]
     report.checks.append(CheckResult(
-        "split-condition-everywhere",
-        census.meta.get("condition5_violations", -1) == 0,
-        {"violations": census.meta.get("condition5_violations")}))
+        "split-condition-everywhere", violations == 0,
+        {"violations": violations}))
     report.checks.append(CheckResult(
         "fully-ramified-count",
-        census.meta.get("fully_ramified_places") == q + 1,
-        {"count": census.meta.get("fully_ramified_places"), "expected": q + 1}))
-
-    dim_set = deduce_frobenius_dimension(q, g)
-    report.frobenius_dimension = {
-        "from_bound": sorted(dim_set),
-        "bound_conclusive": len(dim_set) == 1,
-    }
-    report.checks.append(CheckResult(
-        "frobenius-dimension", dim_set == {3},
-        {"from_bound": sorted(dim_set)}))
+        census.meta["fully_ramified_places"] == q + 1,
+        {"count": census.meta["fully_ramified_places"], "expected": q + 1}))
+    r = _dimension(report, g, None)
 
     # pole order of x/(y-beta) at the distinguished ramified place
     table = curves.fk_divisor_table(q)
@@ -375,28 +358,24 @@ def _fk_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
         pole == q - 2 and div.effective_away_from("P0_beta"),
         {"pole_order": pole, "expected": q - 2}))
 
-    # with r = 3 there are exactly 4 non-gaps <= q+1; we exhibit 4,
-    # so m_1 = q-2 and j_2 = q+1-m_1 = 3
-    known = [0, q - 2, q, q + 1]
-    conclusive = dim_set == {3} and len(known) == 4
-    j2 = q + 1 - known[1]
-    orders = OrderSequence((0, 1, j2, q + 1), role="rational-place-j")
-    report.order_sequences["distinguished"] = _seq(orders)
-    report.checks.append(CheckResult(
-        "j2-at-distinguished-place", conclusive and j2 == 3,
-        {"known_nongaps": known, "j2": j2}))
-
     scan = curves.weierstrass_nongaps_from_monomials(
         table, "P0_beta",
         {"x": range(0, 2 * g + 1), "y-beta": range(-g, 1)}, q)
+    known = [n for n in scan["nongaps"] if n <= q + 1]
     report.semigroups.append({
-        "generators": sorted(n for n in scan["nongaps"] if 0 < n <= q + 1),
+        "generators": known[1:],
         "note": "certified non-gaps at the distinguished place, <= q+1",
     })
 
-    r = 3 if dim_set == {3} else None
-    _finish_epsilon(report, {"distinguished": j2}, q, curve.p,
-                    r if r is not None else -1, expected=(0, 1, 2, q))
+    # with r = 3 the non-gaps up to q+1 are exactly 0 < m_1 < q < q+1,
+    # and j_2 = q+1-m_1
+    j2 = q + 1 - known[1]
+    report.order_sequences["distinguished"] = [0, 1, j2, q + 1]
+    report.checks.append(CheckResult(
+        "j2-at-distinguished-place", r == 3 and len(known) == 4 and j2 == 3,
+        {"known_nongaps": known, "j2": j2}))
+
+    _finish_epsilon(report, {"distinguished": j2}, r, (0, 1, 2, q))
     return report
 
 

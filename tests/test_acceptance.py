@@ -24,7 +24,7 @@ def report_line(name):
 def test_criterion_1_gk_qbar3_theorem():
     start = time.perf_counter()
     assert curves.genus_gk(3) == 99
-    census = curves.count_gk_places(3)
+    census = curves.count_gk_places(curves.gk_curve(3))
     assert census.total == 6076 == 27 ** 2 + 1 + 2 * 99 * 27
 
     S = numsg.semigroup_from_generators({21, 27, 28})
@@ -48,7 +48,7 @@ def test_criterion_1_gk_qbar3_theorem():
 def test_criterion_2_gk_qbar2_regression():
     start = time.perf_counter()
     assert curves.genus_gk(2) == 10
-    assert curves.count_gk_places(2).total == 225
+    assert curves.count_gk_places(curves.gk_curve(2)).total == 225
 
     S = numsg.semigroup_from_generators({6, 8, 9})
     assert S.gaps == (1, 2, 3, 4, 5, 7, 10, 11, 13, 19)
@@ -65,7 +65,7 @@ def test_criterion_2_gk_qbar2_regression():
 
 def test_criterion_3_gsx49_theorem():
     start = time.perf_counter()
-    census = curves.count_gsx49_places()
+    census = curves.count_gsx49_places(curves.gsx49_curve())
     assert census.total == 148
     k = census.meta["sixteenth_power_fibers"]
     assert k == 9 and 16 * k + 4 == 148
@@ -103,7 +103,7 @@ def test_criterion_4_fk_family_theorem():
     expected = {5: (4, 66), 11: (19, 540), 17: (46, 1854)}
     for q, (g, total) in expected.items():
         assert curves.genus_fk(q) == g == (q * q - q + 4) // 6
-        census = curves.count_fk_places(q)
+        census = curves.count_fk_places(curves.fk_curve(q))
         assert census.total == total
         assert census.meta["condition5_violations"] == 0
         assert census.meta["fully_ramified_places"] == q + 1
@@ -161,7 +161,7 @@ def test_criterion_5_property_suites():
 
     # (e) negative controls
     for delta in (-1, 1):
-        census = curves.count_gsx49_places()
+        census = curves.count_gsx49_places(curves.gsx49_curve())
         census.add("affine-split", delta)
         assert not verify.check_maximal(census, 7, 7).passed
     assert not verify.padic_admissible((0, 1, 3, 7), 7)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maxcurves import cli
+from maxcurves import cli, curves
 
 
 def run_capture(argv, capsys):
@@ -43,6 +43,64 @@ class TestExitCodes:
         assert run_capture(["--help"], capsys)[0] == 0
 
 
+def verify_json(argv, capsys):
+    code, out, _ = run_capture(argv + ["--format", "json"], capsys)
+    rep = json.loads(out)["report"]
+    return code, {c["name"]: c for c in rep["checks"]}
+
+
+class TestFaultsFailChecks:
+    """A census that misses Hasse-Weil, or a scan that misses a non-gap,
+    is a failed check (exit 1), not a usage error: the census and the
+    scan count, and the report judges."""
+
+    def test_gsx49_fiber_loses_its_roots(self, capsys, monkeypatch):
+        real, dropped = curves.nth_roots, []
+
+        def lossy(a, n):
+            roots = real(a, n)
+            if n == 16 and roots and not dropped:
+                dropped.append(a)
+                return set()
+            return roots
+
+        monkeypatch.setattr(curves, "nth_roots", lossy)
+        code, checks = verify_json(["verify", "gsx49"], capsys)
+        assert dropped and code == 1
+        assert not checks["maximality"]["passed"]
+        assert checks["maximality"]["details"]["delta"] == -16
+
+    def test_fk_split_violation(self, capsys, monkeypatch):
+        real, hit = curves.nth_roots, []
+
+        def lossy(a, n):
+            roots = real(a, n)
+            if n == 3 and len(roots) == 3 and not hit:
+                hit.append(a)
+                roots.pop()
+            return roots
+
+        monkeypatch.setattr(curves, "nth_roots", lossy)
+        code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
+        assert hit and code == 1
+        split = checks["split-condition-everywhere"]
+        assert not split["passed"] and split["details"]["violations"] == 1
+        assert checks["maximality"]["details"]["delta"] == -3
+
+    def test_fk_scan_misses_the_first_nongap(self, capsys, monkeypatch):
+        real = curves.weierstrass_nongaps_from_monomials
+
+        def lossy(table, target, ranges, q):
+            scan = real(table, target, ranges, q)
+            return dict(scan, nongaps=[n for n in scan["nongaps"] if n != q - 2])
+
+        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials", lossy)
+        code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
+        assert code == 1
+        j2 = checks["j2-at-distinguished-place"]
+        assert not j2["passed"] and j2["details"]["known_nongaps"] == [0, 5, 6]
+
+
 class TestVerifyOutput:
     def test_json_schema_fields(self, capsys):
         code, out, _ = run_capture(["verify", "gsx49", "--format", "json"], capsys)
@@ -69,6 +127,13 @@ class TestVerifyOutput:
         rep = json.loads(out)["report"]
         assert rep["census"]["total"] == 225
         assert rep["epsilon_sequence"] == [0, 1, 2, 8]
+
+    def test_json_bytes_repeat(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert cli.run(["verify", "fk", "--q", "11", "--format", "json",
+                            "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -62,20 +62,20 @@ class TestHermitianPoints:
 
 class TestGKCensus:
     def test_total_qbar3(self):
-        census = curves.count_gk_places(3)
+        census = curves.count_gk_places(curves.gk_curve(3))
         assert census.total == 6076 == 27 ** 2 + 1 + 2 * 99 * 27
 
     def test_total_qbar2(self):
-        census = curves.count_gk_places(2)
+        census = curves.count_gk_places(curves.gk_curve(2))
         assert census.total == 225
 
     def test_single_infinite_place(self):
-        census = curves.count_gk_places(3)
+        census = curves.count_gk_places(curves.gk_curve(3))
         assert census.counts["infinite"] == 1
 
     def test_fiber_law(self):
         # split fibers carry d places each, ramified carry one
-        census = curves.count_gk_places(3)
+        census = curves.count_gk_places(curves.gk_curve(3))
         d = 7
         assert census.counts["affine-split"] == d * census.meta["split_fibers"]
         affine = 891
@@ -85,10 +85,10 @@ class TestGKCensus:
 
 class TestGSX49Census:
     def test_total(self):
-        assert curves.count_gsx49_places().total == 148
+        assert curves.count_gsx49_places(curves.gsx49_curve()).total == 148
 
     def test_sixteenth_power_count(self):
-        census = curves.count_gsx49_places()
+        census = curves.count_gsx49_places(curves.gsx49_curve())
         assert census.meta["sixteenth_power_fibers"] == 9
         # oracle: direct loop over F_49
         F = gf.make_field(7, 2)
@@ -100,7 +100,7 @@ class TestGSX49Census:
         assert 16 * 9 + 4 == 148
 
     def test_two_places_over_t_minus_one(self):
-        census = curves.count_gsx49_places()
+        census = curves.count_gsx49_places(curves.gsx49_curve())
         # transcribed specials: 1 over t=0, 2 over t=-1, 1 at infinity
         assert census.counts["zero-of-cover-function"] == 3
         assert census.counts["infinite"] == 1
@@ -109,20 +109,20 @@ class TestGSX49Census:
 class TestFKCensus:
     @pytest.mark.parametrize("q,total", [(5, 66), (11, 540), (17, 1854)])
     def test_totals(self, q, total):
-        census = curves.count_fk_places(q)
+        census = curves.count_fk_places(curves.fk_curve(q))
         assert census.total == total
 
     @pytest.mark.parametrize("q", [5, 11])
     def test_ramified_count(self, q):
-        census = curves.count_fk_places(q)
+        census = curves.count_fk_places(curves.fk_curve(q))
         assert census.meta["fully_ramified_places"] == q + 1
         assert census.meta["condition5_violations"] == 0
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
-            curves.count_fk_places(7)
+            curves.count_fk_places(curves.fk_curve(7))
         with pytest.raises(ValueError):
-            curves.count_fk_places(8)
+            curves.count_fk_places(curves.fk_curve(8))
 
     def test_constant_w(self):
         curve = curves.fk_curve(5)

@@ -17,11 +17,11 @@ def make_census(total):
 
 class TestMaximality:
     def test_gsx49_passes(self):
-        census = curves.count_gsx49_places()
+        census = curves.count_gsx49_places(curves.gsx49_curve())
         assert verify.check_maximal(census, 7, 7).passed
 
     def test_fk11_passes(self):
-        census = curves.count_fk_places(11)
+        census = curves.count_fk_places(curves.fk_curve(11))
         assert verify.check_maximal(census, 19, 11).passed
 
     @pytest.mark.parametrize("delta", [-1, 1])
