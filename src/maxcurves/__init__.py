@@ -10,7 +10,7 @@ from .numsg import (NumericalSemigroup, OrderSequence, contains,
                     frobenius_dimension_from_semigroup, genus_via_apery,
                     nongaps_upto, rational_point_orders,
                     semigroup_from_generators)
-from .curves import (CurveModel, Divisor, Place, PlaceCensus,
+from .curves import (CurveModel, Place, PlaceCensus,
                      PrincipalDivisorTable, count_fk_places, count_gk_places,
                      count_gsx49_places, divisor_of_monomial, fk_curve,
                      genus_fk, genus_gk, genus_gsx, genus_plane_smooth,
@@ -19,6 +19,6 @@ from .curves import (CurveModel, Divisor, Place, PlaceCensus,
 from .verify import (CheckResult, VerificationReport, allowed_j2_values,
                      castelnuovo_bound, check_maximal,
                      deduce_epsilon_sequence, deduce_frobenius_dimension,
-                     padic_admissible, theorem_report, validate_j2)
+                     padic_admissible, theorem_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

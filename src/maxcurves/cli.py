@@ -34,46 +34,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", help="write output to FILE instead of stdout")
-    common.add_argument("--inject-census-delta", type=int, default=0,
-                        help=argparse.SUPPRESS)  # test hook: perturb the census
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--out", help="write output to FILE instead of stdout")
+    curve_opts = argparse.ArgumentParser(add_help=False, parents=[output])
+    curve_opts.add_argument("--inject-census-delta", type=int, default=0,
+                            help=argparse.SUPPRESS)  # test hook: perturb the census
 
     pv = sub.add_parser("verify", help="run a per-curve verification report")
     curve_sub = pv.add_subparsers(dest="curve", required=True)
-    pgk = curve_sub.add_parser("gk", help="GK curve", parents=[common])
+    pgk = curve_sub.add_parser("gk", help="GK curve", parents=[curve_opts])
     pgk.add_argument("--qbar", type=int, required=True)
     curve_sub.add_parser("gsx49", help="z^16 = t(t+1)^6 over F_49",
-                         parents=[common])
+                         parents=[curve_opts])
     pfk = curve_sub.add_parser("fk", help="degree-3 Kummer cover, q = 2 mod 3",
-                               parents=[common])
+                               parents=[curve_opts])
     pfk.add_argument("--q", type=int, required=True)
 
-    ps = sub.add_parser("semigroup", help="gaps/genus of a numerical semigroup")
+    ps = sub.add_parser("semigroup", help="gaps/genus of a numerical semigroup",
+                        parents=[output])
     ps.add_argument("--gens", required=True, help="comma-separated generators")
     ps.add_argument("--upto", type=int, default=None,
                     help="also list non-gaps up to this bound")
-    ps.add_argument("--format", choices=("text", "json"), default="text")
-    ps.add_argument("--out")
 
-    po = sub.add_parser("orders", help="order sequence at a rational place")
+    po = sub.add_parser("orders", help="order sequence at a rational place",
+                        parents=[output])
     po.add_argument("--gens", required=True)
     po.add_argument("--q", type=int, required=True)
-    po.add_argument("--format", choices=("text", "json"), default="text")
-    po.add_argument("--out")
 
-    pb = sub.add_parser("bound", help="genus bound for a given dimension")
+    pb = sub.add_parser("bound", help="genus bound for a given dimension",
+                        parents=[output])
     pb.add_argument("--q", type=int, required=True)
     pb.add_argument("--r", type=int, required=True)
-    pb.add_argument("--format", choices=("text", "json"), default="text")
-    pb.add_argument("--out")
 
-    pd = sub.add_parser("deduce-dim", help="candidate Frobenius dimensions")
+    pd = sub.add_parser("deduce-dim", help="candidate Frobenius dimensions",
+                        parents=[output])
     pd.add_argument("--q", type=int, required=True)
     pd.add_argument("--g", type=int, required=True)
-    pd.add_argument("--format", choices=("text", "json"), default="text")
-    pd.add_argument("--out")
     return parser
 
 
@@ -156,8 +153,7 @@ def _cmd_bound(args) -> int:
                          "bound": {"numerator": b.numerator,
                                    "denominator": b.denominator}}), args.out)
     else:
-        raw_num = (2 * args.q - (args.r - 1)) ** 2 - (1 if args.r % 2 == 0 else 0)
-        raw_den = 8 * (args.r - 1)
+        raw_num, raw_den = verify.castelnuovo_terms(args.q, args.r)
         pretty = str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
         _emit(f"{raw_num}/{raw_den} = {pretty}", args.out)
     return 0

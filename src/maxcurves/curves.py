@@ -217,7 +217,7 @@ def hermitian_affine_points(qbar: int, F: FieldSpec):
     points = []
     for x0 in enumerate_field(F):
         rhs = x0 ** qbar + x0
-        for y0 in sorted(nth_roots(rhs, qbar + 1), key=lambda e: e.code):
+        for y0 in nth_roots(rhs, qbar + 1):
             points.append((x0, y0))
     return points
 
@@ -253,9 +253,8 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
             roots = nth_roots(u0, d)
             if roots:
                 split_fibers += 1
-                z0 = min(roots, key=lambda e: e.code)
                 census.add(AFFINE_SPLIT, len(roots),
-                           Place(f"gk:x={x0.code},y={y0.code},z={z0.code}",
+                           Place(f"gk:x={x0.code},y={y0.code},z={roots[0].code}",
                                  AFFINE_SPLIT, 1))
             else:
                 inert_fibers += 1
@@ -287,9 +286,8 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
         roots = nth_roots(c, 16)
         if roots:
             sixteenth_power_fibers += 1
-            z0 = min(roots, key=lambda e: e.code)
             census.add(AFFINE_SPLIT, len(roots),
-                       Place(f"gsx49:t={t0.code},z={z0.code}", AFFINE_SPLIT, 1))
+                       Place(f"gsx49:t={t0.code},z={roots[0].code}", AFFINE_SPLIT, 1))
     census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", ZERO_OF_COVER, 1))   # over t=0
     census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", ZERO_OF_COVER, 1))   # over t=-1
     census.add(INFINITE, 1, Place("gsx49:Pinf", INFINITE, 1))
@@ -316,7 +314,7 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     violations = 0
     for a in enumerate_field(F):
         rhs = minus_one - a ** m3
-        for b in sorted(nth_roots(rhs, m3), key=lambda e: e.code):
+        for b in nth_roots(rhs, m3):
             if a.is_zero() or b.is_zero():
                 census.add(ZERO_OF_COVER, 1,
                            Place(f"fk:a={a.code},b={b.code}", ZERO_OF_COVER, 3))
@@ -326,9 +324,8 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
                     or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
                 violations += 1
                 continue
-            z0 = min(roots, key=lambda e: e.code)
             census.add(AFFINE_SPLIT, 3,
-                       Place(f"fk:a={a.code},b={b.code},z={z0.code}",
+                       Place(f"fk:a={a.code},b={b.code},z={roots[0].code}",
                              AFFINE_SPLIT, 1))
     census.add(INFINITE, m3, Place("fk:Pinf,1", INFINITE, 3))
     census.meta["condition5_violations"] = violations
@@ -338,71 +335,29 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 
 
 # ---------------------------------------------------------------------------
-# divisors
-
-class Divisor:
-    """Finite formal sum of places, stored as place-id -> multiplicity."""
-
-    def __init__(self, coeffs: dict[str, int] | None = None):
-        self.coeffs = {pid: m for pid, m in (coeffs or {}).items() if m != 0}
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        out = dict(self.coeffs)
-        for pid, m in other.coeffs.items():
-            out[pid] = out.get(pid, 0) + m
-        return Divisor(out)
-
-    def scale(self, n: int) -> "Divisor":
-        return Divisor({pid: n * m for pid, m in self.coeffs.items()})
-
-    def degree(self) -> int:
-        return sum(self.coeffs.values())
-
-    def value(self, pid: str) -> int:
-        return self.coeffs.get(pid, 0)
-
-    def pole_part(self) -> "Divisor":
-        return Divisor({pid: -m for pid, m in self.coeffs.items() if m < 0})
-
-    def effective_away_from(self, target: str) -> bool:
-        return all(m >= 0 for pid, m in self.coeffs.items() if pid != target)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Divisor) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{m}*{pid}" for pid, m in sorted(self.coeffs.items()))
-        return f"Divisor({terms or '0'})"
-
+# principal divisors as integer valuation rows
 
 @dataclass
 class PrincipalDivisorTable:
-    """Named function symbols -> principal divisors, per curve."""
+    """Principal divisors of named function symbols, as an integer
+    matrix: ``places[pid][i]`` is the valuation of ``symbols[i]`` at the
+    place ``pid``."""
 
-    curve_family: str
-    entries: dict[str, Divisor]
+    symbols: tuple[str, ...]
+    places: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        for sym, div in self.entries.items():
-            if div.degree() != 0:
-                raise ValueError(f"divisor of {sym} has degree {div.degree()} != 0")
-
-    def to_fragment(self) -> dict:
-        return {
-            "curve_family": self.curve_family,
-            "divisors": {sym: dict(sorted(d.coeffs.items()))
-                         for sym, d in self.entries.items()},
-        }
+        for i, sym in enumerate(self.symbols):
+            deg = sum(row[i] for row in self.places.values())
+            if deg != 0:
+                raise ValueError(f"divisor of {sym} has degree {deg} != 0")
 
 
 def gsx49_divisor_table() -> PrincipalDivisorTable:
     """(z) = 3(P1 + P2) + P0 - 7 Pinf and (t+1) = 8(P1 + P2) - 16 Pinf."""
     return PrincipalDivisorTable(
-        curve_family="GSX49",
-        entries={
-            "z": Divisor({"P1": 3, "P2": 3, "P0": 1, "Pinf": -7}),
-            "t+1": Divisor({"P1": 8, "P2": 8, "Pinf": -16}),
-        },
+        symbols=("z", "t+1"),
+        places={"P1": (3, 8), "P2": (3, 8), "P0": (1, 0), "Pinf": (-7, -16)},
     )
 
 
@@ -417,27 +372,37 @@ def fk_divisor_table(q: int) -> PrincipalDivisorTable:
     """
     _validate_fk_q(q)
     m3 = (q + 1) // 3
-    zeros = ["P0_beta"] + [f"P0_beta{i}" for i in range(1, m3)]
-    infs = [f"Pinf{i}" for i in range(m3)]
-    x_div = {pid: 3 for pid in zeros}
-    x_div.update({pid: -3 for pid in infs})
-    yb_div = {"P0_beta": q + 1}
-    yb_div.update({pid: -3 for pid in infs})
-    return PrincipalDivisorTable(
-        curve_family="FK",
-        entries={"x": Divisor(x_div), "y-beta": Divisor(yb_div)},
-    )
+    places = {"P0_beta": (3, q + 1)}
+    places.update({f"P0_beta{i}": (3, 0) for i in range(1, m3)})
+    places.update({f"Pinf{i}": (-3, -3) for i in range(m3)})
+    return PrincipalDivisorTable(symbols=("x", "y-beta"), places=places)
+
+
+def _rows(table: PrincipalDivisorTable, symbols) -> dict[str, tuple[int, ...]]:
+    """Each place's valuation row restricted to the given symbols, in
+    their order."""
+    unknown = [s for s in symbols if s not in table.symbols]
+    if unknown:
+        raise ValueError(f"unknown symbol {unknown[0]!r} in divisor table")
+    cols = [table.symbols.index(s) for s in symbols]
+    return {pid: tuple(row[c] for c in cols) for pid, row in table.places.items()}
+
+
+def _valuation(row: tuple[int, ...], exponents) -> int:
+    """Valuation of a monomial at a place, from the place's row."""
+    return sum(v * e for v, e in zip(row, exponents))
 
 
 def divisor_of_monomial(table: PrincipalDivisorTable,
-                        exponents: dict[str, int]) -> Divisor:
-    """Divisor of prod(symbol^exponent) over the table; degree is 0."""
-    out = Divisor()
-    for sym, e in exponents.items():
-        if sym not in table.entries:
-            raise ValueError(f"unknown symbol {sym!r} in divisor table")
-        if e:
-            out = out + table.entries[sym].scale(e)
+                        exponents: dict[str, int]) -> dict[str, int]:
+    """Divisor of prod(symbol^exponent) over the table, as place id ->
+    valuation with the zero valuations left out; its degree is 0."""
+    exps = tuple(exponents.values())
+    out = {}
+    for pid, row in _rows(table, exponents).items():
+        v = _valuation(row, exps)
+        if v:
+            out[pid] = v
     return out
 
 
@@ -447,29 +412,31 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
                                        q: int) -> dict[str, object]:
     """Scan monomials over the table for certified non-gaps at ``target``.
 
-    A monomial whose divisor is effective away from the target has its
-    only pole there, so the pole order is a non-gap with that monomial
-    as explicit witness.  q and q+1 are always non-gaps at a rational
-    place of a maximal curve and are included with a marker witness.
+    A monomial with non-negative valuation at every other place has its
+    only pole at the target, so the pole order is a non-gap with that
+    monomial as explicit witness; the first monomial in ``product``
+    order over ``ranges`` is kept per pole.  The other places are tested
+    through their distinct valuation rows (two for each built-in table,
+    whatever q is), only for a monomial whose pole is positive and new.
+    q and q+1 are always non-gaps at a rational place of a maximal curve
+    and are included with a marker witness.
 
     Returns {"nongaps": sorted list, "witnesses": {n: exponent map or
     "maximality"}}.
     """
-    if not any(target in d.coeffs for d in table.entries.values()):
+    if target not in table.places:
         raise ValueError(f"target {target!r} does not appear in the table")
     symbols = list(ranges)
+    rows = _rows(table, symbols)
+    at_target = rows.pop(target)
+    others = set(rows.values())
     witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
     for combo in product(*(ranges[s] for s in symbols)):
-        exps = dict(zip(symbols, combo))
-        div = divisor_of_monomial(table, exps)
-        if not div.effective_away_from(target):
+        pole = -_valuation(at_target, combo)
+        if pole <= 0 or pole in witnesses:
             continue
-        v = div.value(target)
-        if v >= 0:
-            continue
-        pole = -v
-        if pole not in witnesses:
-            witnesses[pole] = exps
+        if all(_valuation(row, combo) >= 0 for row in others):
+            witnesses[pole] = dict(zip(symbols, combo))
     for n in (q, q + 1):
         witnesses.setdefault(n, "maximality")
     return {"nongaps": sorted(witnesses), "witnesses": witnesses}

@@ -381,26 +381,26 @@ def enumerate_field(F: FieldSpec) -> list[FieldElement]:
     return [F.zero] + [FieldElement(F, c) for c in F._exp]
 
 
-def nth_roots(a: FieldElement, n: int) -> set[FieldElement]:
-    """All x in the field with x^n = a.
+def nth_roots(a: FieldElement, n: int) -> list[FieldElement]:
+    """All x in the field with x^n = a, sorted by code.
 
-    For a = 0 this is {0}; otherwise the set is empty or has exactly
+    For a = 0 this is [0]; otherwise the list is empty or has exactly
     gcd(n, p^k - 1) elements, solved on the discrete-log side.
     """
     if n < 1:
         raise ValueError("n must be positive")
     F = a.field
     if a.code == 0:
-        return {F.zero}
+        return [F.zero]
     N = F.order - 1
     g = gcd(n, N)
     la = F.log(a)
     if la % g != 0:
-        return set()
+        return []
     # solve n*x = la (mod N): x0 modulo N/g, then g shifts
     n_, la_, N_ = n // g, la // g, N // g
     x0 = (la_ * pow(n_, -1, N_)) % N_
-    return {F.exp(x0 + t * N_) for t in range(g)}
+    return sorted((F.exp(x0 + t * N_) for t in range(g)), key=lambda e: e.code)
 
 
 def is_in_subfield(a: FieldElement, m: int) -> bool:

@@ -54,7 +54,7 @@ class TestMakeField:
 
     def test_three_has_square_root_in_f25(self, f25):
         roots = gf.nth_roots(f25.from_int(3), 2)
-        assert roots == brute_nth_roots(f25.from_int(3), 2)
+        assert set(roots) == brute_nth_roots(f25.from_int(3), 2)
         assert len(roots) == 2
         assert all(w * w == f25.from_int(3) for w in roots)
 
@@ -156,20 +156,22 @@ class TestNthRoots:
     def test_sixteen_roots_of_unity_f49(self, f49):
         roots = gf.nth_roots(f49.one, 16)
         assert len(roots) == 16 == gcd(16, 48)
-        assert roots == brute_nth_roots(f49.one, 16)
+        assert set(roots) == brute_nth_roots(f49.one, 16)
 
     def test_zero(self, f49):
-        assert gf.nth_roots(f49.zero, 3) == {f49.zero}
+        assert set(gf.nth_roots(f49.zero, 3)) == {f49.zero}
 
     def test_noncube_in_f25(self, f25):
         g = f25.element(f25.generator)  # log 1, not divisible by 3
-        assert gf.nth_roots(g, 3) == set()
+        assert set(gf.nth_roots(g, 3)) == set()
         assert brute_nth_roots(g, 3) == set()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 48])
     def test_against_brute_oracle_f49(self, f49, n):
         for a in gf.enumerate_field(f49):
-            assert gf.nth_roots(a, n) == brute_nth_roots(a, n)
+            roots = gf.nth_roots(a, n)
+            assert set(roots) == brute_nth_roots(a, n)
+            assert [r.code for r in roots] == sorted(r.code for r in roots)
 
     @pytest.mark.parametrize("p,k,n", [(5, 2, 3), (7, 2, 16), (2, 6, 3), (3, 6, 4)])
     def test_cardinality_law(self, p, k, n):
