@@ -415,28 +415,53 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
     A monomial with non-negative valuation at every other place has its
     only pole at the target, so the pole order is a non-gap with that
     monomial as explicit witness; the first monomial in ``product``
-    order over ``ranges`` is kept per pole.  The other places are tested
-    through their distinct valuation rows (two for each built-in table,
-    whatever q is), only for a monomial whose pole is positive and new.
-    q and q+1 are always non-gaps at a rational place of a maximal curve
-    and are included with a marker witness.
+    order over ``ranges`` is kept per pole.  Only those monomials are
+    visited: for each prefix of exponents of all symbols but the last,
+    every distinct row away from the target (two for each built-in
+    table, whatever q is) and the positive-pole condition at the target
+    are linear in the last exponent ``e``, so together they cut the last
+    range down to one interval of ``e``, walked in increasing order.
+    Each range must have step 1.  q and q+1 are always non-gaps at a
+    rational place of a maximal curve and are included with a marker
+    witness.
 
     Returns {"nongaps": sorted list, "witnesses": {n: exponent map or
     "maximality"}}.
     """
     if target not in table.places:
         raise ValueError(f"target {target!r} does not appear in the table")
+    for sym, r in ranges.items():
+        if r.step != 1:
+            raise ValueError(f"range for {sym!r} has step {r.step}; "
+                             f"the scan needs step 1")
     symbols = list(ranges)
     rows = _rows(table, symbols)
     at_target = rows.pop(target)
-    others = set(rows.values())
+    # each (row, c) stands for row . exponents + c >= 0; the last one is
+    # the pole condition -(at_target . exponents) >= 1
+    conditions = [(row, 0) for row in set(rows.values())]
+    conditions.append((tuple(-v for v in at_target), -1))
     witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
-    for combo in product(*(ranges[s] for s in symbols)):
-        pole = -_valuation(at_target, combo)
-        if pole <= 0 or pole in witnesses:
-            continue
-        if all(_valuation(row, combo) >= 0 for row in others):
-            witnesses[pole] = dict(zip(symbols, combo))
+    if symbols:
+        *head, last = symbols
+        t1 = at_target[-1]
+        for prefix in product(*(ranges[s] for s in head)):
+            lo, hi = ranges[last].start, ranges[last].stop - 1
+            for row, c in conditions:
+                # c0 + c1*e >= 0: e >= ceil(-c0/c1), or e <= floor(c0/-c1)
+                c0, c1 = c + _valuation(row, prefix), row[-1]
+                if c1 > 0:
+                    lo = max(lo, -(c0 // c1))
+                elif c1 < 0:
+                    hi = min(hi, c0 // -c1)
+                elif c0 < 0:
+                    hi = lo - 1
+                    break
+            t0 = _valuation(at_target, prefix)
+            for e in range(lo, hi + 1):
+                pole = -(t0 + t1 * e)
+                if pole not in witnesses:
+                    witnesses[pole] = dict(zip(symbols, (*prefix, e)))
     for n in (q, q + 1):
         witnesses.setdefault(n, "maximality")
     return {"nongaps": sorted(witnesses), "witnesses": witnesses}

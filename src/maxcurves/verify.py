@@ -333,9 +333,8 @@ def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     census = curves.count_fk_places(curve)
     report = _start(curve, g, census, census_delta)
     report.genus["riemann_hurwitz"] = 1 + 3 * (g0 - 1) + (q + 1)
-    report.genus["closed_form"] = (q * q - q + 4) // 6
     report.checks.append(CheckResult(
-        "genus-cross-check", report.genus["riemann_hurwitz"] == report.genus["closed_form"],
+        "genus-cross-check", report.genus["riemann_hurwitz"] == g,
         dict(report.genus)))
     report.checks.append(check_maximal(census, g, q))
 

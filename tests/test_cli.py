@@ -100,6 +100,16 @@ class TestFaultsFailChecks:
         j2 = checks["j2-at-distinguished-place"]
         assert not j2["passed"] and j2["details"]["known_nongaps"] == [0, 5, 6]
 
+    def test_fk_genus_formula_disagrees_with_riemann_hurwitz(self, capsys,
+                                                              monkeypatch):
+        real = curves.genus_fk
+        monkeypatch.setattr(curves, "genus_fk", lambda q: real(q) + 1)
+        code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
+        assert code == 1
+        cross = checks["genus-cross-check"]
+        assert not cross["passed"]
+        assert cross["details"] == {"formula": 5, "riemann_hurwitz": 4}
+
 
 class TestVerifyOutput:
     def test_json_schema_fields(self, capsys):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxcurves import curves, gf, numsg
 
@@ -226,13 +227,22 @@ class TestMonomialScan:
         assert {0, 3, 5, 6} <= set(res["nongaps"])
         assert res["witnesses"][3] == {"x": 1, "y-beta": -1}
 
+    def test_rejects_non_unit_step(self):
+        table = curves.fk_divisor_table(5)
+        with pytest.raises(ValueError, match="'x'"):
+            curves.weierstrass_nongaps_from_monomials(
+                table, "P0_beta", {"x": range(0, 9, 2), "y-beta": range(-4, 1)}, 5)
+        with pytest.raises(ValueError, match="'y-beta'"):
+            curves.weierstrass_nongaps_from_monomials(
+                table, "P0_beta", {"x": range(0, 9), "y-beta": range(1, -4, -1)}, 5)
+
     def test_unknown_target(self):
         table = curves.gsx49_divisor_table()
         with pytest.raises(ValueError):
             curves.weierstrass_nongaps_from_monomials(
                 table, "nowhere", {"z": range(2)}, 7)
 
-    @pytest.mark.parametrize("q", [None, 5, 11, 17, 23])
+    @pytest.mark.parametrize("q", [None, 5, 11, 17, 23, 29])
     def test_matches_reference_scan(self, q):
         if q is None:
             table, target, g, q = curves.gsx49_divisor_table(), "Pinf", 7, 7
@@ -241,6 +251,31 @@ class TestMonomialScan:
             table, target = curves.fk_divisor_table(q), "P0_beta"
             g = curves.genus_fk(q)
             ranges = {"x": range(0, 2 * g + 1), "y-beta": range(-g, 1)}
+        got = curves.weierstrass_nongaps_from_monomials(table, target, ranges, q)
+        want = reference_scan(table, target, ranges, q)
+        assert got["nongaps"] == want["nongaps"]
+        assert list(got["witnesses"].items()) == list(want["witnesses"].items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_scan_on_random_tables(self, data):
+        n_sym = data.draw(st.integers(1, 3))
+        n_places = data.draw(st.integers(2, 5))
+        symbols = tuple(f"f{i}" for i in range(n_sym))
+        cols = []
+        for _ in symbols:
+            head = data.draw(st.lists(st.integers(-4, 4), min_size=n_places - 1,
+                                      max_size=n_places - 1))
+            cols.append(head + [-sum(head)])
+        places = {f"P{k}": tuple(col[k] for col in cols) for k in range(n_places)}
+        table = curves.PrincipalDivisorTable(symbols=symbols, places=places)
+        target = data.draw(st.sampled_from(sorted(places)))
+        named = data.draw(st.permutations(symbols))[:data.draw(st.integers(1, n_sym))]
+        ranges = {}
+        for sym in named:
+            start = data.draw(st.integers(-5, 3))
+            ranges[sym] = range(start, start + data.draw(st.integers(0, 6)))
+        q = data.draw(st.integers(1, 9))
         got = curves.weierstrass_nongaps_from_monomials(table, target, ranges, q)
         want = reference_scan(table, target, ranges, q)
         assert got["nongaps"] == want["nongaps"]
