@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .gf import (FieldElement, FieldSpec, enumerate_field, is_in_subfield,
                  make_field, nth_roots)
 from .numsg import (NumericalSemigroup, OrderSequence, contains,
-                    frobenius_dimension_from_semigroup, genus_via_apery,
-                    nongaps_upto, rational_point_orders,
-                    semigroup_from_generators)
+                    frobenius_dimension_from_semigroup, nongaps_upto,
+                    rational_point_orders, semigroup_from_generators)
 from .curves import (CurveModel, Place, PlaceCensus,
                      PrincipalDivisorTable, count_fk_places, count_gk_places,
                      count_gsx49_places, divisor_of_monomial, fk_curve,

@@ -400,7 +400,8 @@ def nth_roots(a: FieldElement, n: int) -> list[FieldElement]:
     # solve n*x = la (mod N): x0 modulo N/g, then g shifts
     n_, la_, N_ = n // g, la // g, N // g
     x0 = (la_ * pow(n_, -1, N_)) % N_
-    return sorted((F.exp(x0 + t * N_) for t in range(g)), key=lambda e: e.code)
+    # the roots are exp(x0 + t*N_) for t < g: one slice of the exp table
+    return [FieldElement(F, c) for c in sorted(F._exp[x0::N_])]
 
 
 def is_in_subfield(a: FieldElement, m: int) -> bool:

@@ -1,9 +1,11 @@
 """Numerical semigroups and order sequences at rational places.
 
-A numerical semigroup is given by generators with gcd 1; membership is
-decided by a boolean sieve whose bound provably covers the conductor.
-A second, independent gap-count route (Apéry set via shortest paths
-modulo the smallest generator) is kept here as a mutual oracle.
+A numerical semigroup is given by generators with gcd 1 and held as its
+Apéry set with respect to the smallest generator m: for each residue r
+modulo m, the least element of the semigroup congruent to r.  Those m
+shortest paths decide membership, and Selmer's formula (J. Reine Angew.
+Math. 293/294, 1977) gives the gap count as the sum of w // m over the
+Apéry set.
 """
 
 from __future__ import annotations
@@ -15,30 +17,32 @@ from functools import reduce
 
 
 class NumericalSemigroup:
-    """Generators plus computed gap/non-gap structure.
+    """Generators plus the Apéry set with respect to m = min(generators).
 
-    Immutable after construction; build with
+    ``apery[r]`` is the least non-gap congruent to r modulo m, so n is a
+    non-gap iff n >= apery[n % m].  Every n >= ``bound`` (the conductor)
+    is a non-gap.  Immutable after construction; build with
     :func:`semigroup_from_generators`.
     """
 
-    def __init__(self, generators: tuple[int, ...], sieve: bytearray,
-                 bound: int, gaps: tuple[int, ...], conductor: int):
+    def __init__(self, generators: tuple[int, ...], apery: list[int]):
         self.generators = generators
-        self._sieve = sieve
-        self.bound = bound
-        self.gaps = gaps
-        self.conductor = conductor
+        self.apery = apery
+        m = generators[0]
+        self.genus = sum(w // m for w in apery)
+        self.conductor = max(apery) - m + 1
+        self.bound = self.conductor
 
     @property
-    def genus(self) -> int:
-        return len(self.gaps)
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(n for n in range(self.conductor) if not contains(self, n))
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
         """Non-gaps that are not sums of two smaller positive non-gaps."""
         out = []
         for n in self.generators:
-            if not any(self._sieve[a] and self._sieve[n - a]
+            if not any(contains(self, a) and contains(self, n - a)
                        for a in range(1, n // 2 + 1)):
                 out.append(n)
         return tuple(out)
@@ -61,61 +65,17 @@ class NumericalSemigroup:
 
 
 def semigroup_from_generators(gens) -> NumericalSemigroup:
-    """Build the semigroup generated by ``gens`` (positive ints, gcd 1)."""
+    """Build the semigroup generated by ``gens`` (positive ints, gcd 1).
+
+    Runs Dijkstra on the residues modulo the smallest generator m; the
+    distance to residue r is the Apéry element of r.
+    """
     generators = tuple(sorted(set(int(g) for g in gens)))
     if not generators or generators[0] < 1:
         raise ValueError("generators must be positive integers")
     if reduce(gcd, generators) != 1:
         raise ValueError("gcd of generators must be 1 (finite gap set)")
-    lo, hi = generators[0], generators[-1]
-    bound = lo * hi + hi  # >= Frobenius number of a coprime pair
-    while True:
-        sieve = bytearray(bound + 1)
-        sieve[0] = 1
-        for i in range(1, bound + 1):
-            for g in generators:
-                if g > i:
-                    break
-                if sieve[i - g]:
-                    sieve[i] = 1
-                    break
-        # a full window of length min(gens) certifies everything beyond
-        if all(sieve[bound - lo + 1:]):
-            break
-        bound *= 2  # unreachable for gcd-1 inputs, kept as a safety net
-    gaps = tuple(i for i in range(bound + 1) if not sieve[i])
-    conductor = gaps[-1] + 1 if gaps else 0
-    return NumericalSemigroup(generators, sieve, bound, gaps, conductor)
-
-
-def contains(S: NumericalSemigroup, n: int) -> bool:
-    """True iff n is a non-gap of S."""
-    if n < 0:
-        return False
-    if n <= S.bound:
-        return bool(S._sieve[n])
-    return True
-
-
-def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
-    """The non-gaps of S in [0, B], increasing."""
-    if B < 0:
-        raise ValueError("B must be non-negative")
-    return [n for n in range(B + 1) if contains(S, n)]
-
-
-def genus_via_apery(gens) -> int:
-    """Gap count via the Apéry set, independent of the sieve.
-
-    Runs Dijkstra on residues modulo the smallest generator; the gap
-    count is the sum over Apéry elements w of floor(w / m).
-    """
-    generators = tuple(sorted(set(int(g) for g in gens)))
-    if reduce(gcd, generators) != 1:
-        raise ValueError("gcd of generators must be 1")
     m = generators[0]
-    if m == 1:
-        return 0
     # a shortest path takes at most m - 1 steps of at most the largest
     # generator, so this integer exceeds every distance found
     unreached = m * generators[-1]
@@ -131,7 +91,20 @@ def genus_via_apery(gens) -> int:
             if nd < dist[nr]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
-    return sum(w // m for w in dist)
+    return NumericalSemigroup(generators, dist)
+
+
+def contains(S: NumericalSemigroup, n: int) -> bool:
+    """True iff n is a non-gap of S (no Apéry element is negative, so
+    no negative n is)."""
+    return n >= S.apery[n % S.generators[0]]
+
+
+def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
+    """The non-gaps of S in [0, B], increasing."""
+    if B < 0:
+        raise ValueError("B must be non-negative")
+    return [n for n in range(B + 1) if contains(S, n)]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 from maxcurves import cli, curves, gf, numsg, verify
+from test_numsg import assert_matches_sieve
 
 
 def report_line(name):
@@ -137,15 +138,15 @@ def test_criterion_5_property_suites():
                     assert len(s) in (0, g)
             assert total == F.order
 
-    # (b) sieve vs Apery genus on 200 random generator sets
+    # (b) Apery-set semigroup vs a membership table on 200 random
+    # generator sets: genus, conductor, gaps and contains
     rng = random.Random(20240817)
     done = 0
     while done < 200:
         gens = {rng.randint(1, 60) for _ in range(rng.randint(1, 6))}
         if reduce(gcd, gens) != 1:
             continue
-        S = numsg.semigroup_from_generators(gens)
-        assert numsg.genus_via_apery(gens) == S.genus
+        assert_matches_sieve(numsg.semigroup_from_generators(gens), gens)
         done += 1
 
     # (c) bound monotone in r; Hermitian equality up to q = 64

@@ -1,4 +1,4 @@
-"""Semigroup sieve vs. Apéry-set oracle, order-sequence translation."""
+"""Apéry-set semigroups vs. independent oracles, order-sequence translation."""
 
 from math import gcd
 from functools import reduce
@@ -9,8 +9,34 @@ from hypothesis import given, settings, strategies as st
 from maxcurves import numsg
 
 
+def schur_bound(gens):
+    """Schur's bound (a1 - 1)(an - 1) + a1, at least the conductor."""
+    return (min(gens) - 1) * (max(gens) - 1) + min(gens)
+
+
+def sieve(gens, bound):
+    """Oracle: dynamic-programming membership table on [0, bound]."""
+    table = [True] + [False] * bound
+    for n in range(1, bound + 1):
+        table[n] = any(g <= n and table[n - g] for g in gens)
+    return table
+
+
+def assert_matches_sieve(S, gens):
+    """S.genus, S.conductor, S.gaps and contains agree with the table up
+    to Schur's bound; beyond it everything is a non-gap."""
+    bound = schur_bound(gens)
+    table = sieve(gens, bound)
+    gaps = tuple(n for n in range(bound + 1) if not table[n])
+    assert S.gaps == gaps
+    assert S.genus == len(gaps)
+    assert S.conductor == (gaps[-1] + 1 if gaps else 0)
+    assert [numsg.contains(S, n) for n in range(bound + 1)] == table
+    assert numsg.contains(S, bound + 1) and numsg.contains(S, 7 * bound + 3)
+
+
 def brute_gaps(gens, bound):
-    """Oracle: grow the semigroup by saturation instead of a sieve."""
+    """Oracle: grow the semigroup by saturation instead of a table."""
     members = {0}
     changed = True
     while changed:
@@ -48,12 +74,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             numsg.semigroup_from_generators({0, 3})
 
-    def test_closed_under_addition_on_sieve(self):
+    def test_closed_under_addition(self):
         S = numsg.semigroup_from_generators({5, 7, 8})
-        nongaps = numsg.nongaps_upto(S, S.bound)
+        bound = 5 * 8 + 8  # well past the conductor
+        nongaps = numsg.nongaps_upto(S, bound)
         for a in nongaps:
             for b in nongaps:
-                if a + b <= S.bound:
+                if a + b <= bound:
                     assert numsg.contains(S, a + b)
 
     def test_minimal_generators(self):
@@ -88,16 +115,14 @@ class TestMembership:
 class TestAperyOracle:
     @pytest.mark.parametrize("gens", [(2, 3), (5, 7, 8), (6, 8, 9), (21, 27, 28), (6, 10, 15)])
     def test_agrees_with_sieve(self, gens):
-        S = numsg.semigroup_from_generators(gens)
-        assert numsg.genus_via_apery(gens) == S.genus
+        assert_matches_sieve(numsg.semigroup_from_generators(gens), gens)
 
     @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_agrees_on_random_sets(self, gens):
         if reduce(gcd, gens) != 1:
             gens = set(gens) | {max(gens) + 1}  # force gcd 1
-        S = numsg.semigroup_from_generators(gens)
-        assert numsg.genus_via_apery(gens) == S.genus
+        assert_matches_sieve(numsg.semigroup_from_generators(gens), gens)
 
     @given(st.sets(st.integers(min_value=2, max_value=30), min_size=1, max_size=4),
            st.integers(min_value=2, max_value=30))
@@ -107,7 +132,17 @@ class TestAperyOracle:
         S = numsg.semigroup_from_generators(gens)
         bigger = numsg.semigroup_from_generators(gens | {extra})
         assert bigger.genus <= S.genus  # adding a generator never adds gaps
-        assert list(S.gaps) == brute_gaps(sorted(gens), S.bound)
+        assert list(S.gaps) == brute_gaps(sorted(gens), schur_bound(gens))
+
+    @pytest.mark.parametrize("a,b", [(1, 7), (2, 3), (3, 5), (7, 12),
+                                     (1000, 1001), (4093, 4096)])
+    def test_sylvester_closed_form(self, a, b):
+        S = numsg.semigroup_from_generators({a, b})
+        assert S.genus == (a - 1) * (b - 1) // 2
+        assert S.conductor == (a - 1) * (b - 1)
+        if a > 1:  # the Frobenius number ab - a - b is the largest gap
+            assert not numsg.contains(S, a * b - a - b)
+            assert numsg.contains(S, a * b - a - b + 1)
 
 
 class TestOrderSequences:
