@@ -19,11 +19,21 @@ import argparse
 import json
 import sys
 
-from . import __version__, curves, numsg, verify
+from . import __version__, curves, gf, numsg, verify
 
 SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
+
+
+def _prime_power_arg(text: str) -> int:
+    """argparse type of the query commands' --q: a prime power."""
+    try:
+        q = int(text)
+        gf.prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not a prime power") from None
+    return q
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,16 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("orders", help="order sequence at a rational place",
                         parents=[output])
     po.add_argument("--gens", required=True)
-    po.add_argument("--q", type=int, required=True)
+    po.add_argument("--q", type=_prime_power_arg, required=True)
 
     pb = sub.add_parser("bound", help="genus bound for a given dimension",
                         parents=[output])
-    pb.add_argument("--q", type=int, required=True)
+    pb.add_argument("--q", type=_prime_power_arg, required=True)
     pb.add_argument("--r", type=int, required=True)
 
     pd = sub.add_parser("deduce-dim", help="candidate Frobenius dimensions",
                         parents=[output])
-    pd.add_argument("--q", type=int, required=True)
+    pd.add_argument("--q", type=_prime_power_arg, required=True)
     pd.add_argument("--g", type=int, required=True)
     return parser
 
@@ -189,7 +199,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

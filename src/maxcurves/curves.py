@@ -9,7 +9,10 @@ Three families are supported:
 * FK: the degree-3 Kummer cover z^3 = w x y of the plane curve
   x^((q+1)/3) + y^((q+1)/3) + 1 = 0 over F_{q^2}, for odd q = 2 mod 3.
 
-Everything is exact integer / finite-field arithmetic; no floats.
+Everything is exact integer / finite-field arithmetic; no floats.  The
+censuses count on integer codes and discrete logs (``FieldSpec``'s
+tables) and build ``FieldElement`` objects only for the sample places
+they keep.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
-from .gf import (FieldElement, FieldSpec, enumerate_field, is_in_subfield,
-                 make_field, nth_roots, prime_power)
+from .gf import (FieldElement, FieldSpec, make_field, nth_roots, prime_power,
+                 root_logs)
 
 # census class tags
 AFFINE_SPLIT = "affine-split"
@@ -48,10 +51,12 @@ class PlaceCensus:
 
     def add(self, class_tag: str, n: int = 1, sample: Place | None = None):
         self.counts[class_tag] = self.counts.get(class_tag, 0) + n
-        if sample is not None:
-            bucket = self.samples.setdefault(class_tag, [])
-            if len(bucket) < SAMPLES_PER_CLASS:
-                bucket.append(sample)
+        if sample is not None and self.wants_sample(class_tag):
+            self.samples.setdefault(class_tag, []).append(sample)
+
+    def wants_sample(self, class_tag: str) -> bool:
+        """True while the class keeps fewer than SAMPLES_PER_CLASS samples."""
+        return len(self.samples.get(class_tag, ())) < SAMPLES_PER_CLASS
 
     @property
     def total(self) -> int:
@@ -197,29 +202,45 @@ def fk_curve(q: int) -> CurveModel:
 
 
 def _fk_constant_w(F: FieldSpec, q: int) -> FieldElement:
-    """First element in enumeration order with w^((q+1)/3) = 3."""
+    """First element in enumeration order with w^((q+1)/3) = 3: zero is
+    not a solution (p != 3), and among the g^i, taken in exp order, the
+    first solution is the one with the least log."""
     m3 = (q + 1) // 3
-    three = F.from_int(3)
-    for w in enumerate_field(F):
-        if w ** m3 == three:
-            return w
-    raise ValueError(f"no w with w^{m3} = 3 in F_{F.order}")
+    logs = root_logs(F._log[3 % F.p], m3, F.order - 1)
+    if not logs:
+        raise ValueError(f"no w with w^{m3} = 3 in F_{F.order}")
+    return F.element(F._exp[logs[0]])
 
 
 # ---------------------------------------------------------------------------
 # place enumeration
 
-def hermitian_affine_points(qbar: int, F: FieldSpec):
-    """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0."""
+def _least_root(F: FieldSpec, la: int, n: int) -> int:
+    """Smallest code x with x^n = g^la; only the kept samples ask."""
+    return nth_roots(F.element(F._exp[la % (F.order - 1)]), n)[0].code
+
+
+def _hermitian_codes(qbar: int, F: FieldSpec) -> list[tuple[int, int]]:
+    """Codes (x0, y0) of every affine point of y^(qbar+1) = x^qbar + x,
+    x0 in enumeration order (zero, then exp order), y0 by code."""
     p, _ = prime_power(qbar)
     if p != F.p:
         raise ValueError("qbar must be a power of the field characteristic")
-    points = []
-    for x0 in enumerate_field(F):
-        rhs = x0 ** qbar + x0
-        for y0 in nth_roots(rhs, qbar + 1):
-            points.append((x0, y0))
+    N, exp, one_plus = F.order - 1, F._exp, F._one_plus
+    points = [(0, 0)]
+    for i, x in enumerate(exp):
+        s = one_plus[i * (qbar - 1) % N]  # x^qbar + x = x (1 + x^(qbar-1))
+        if s < 0:
+            points.append((x, 0))
+            continue
+        for j in sorted(root_logs(i + s, qbar + 1, N), key=exp.__getitem__):
+            points.append((x, exp[j]))
     return points
+
+
+def hermitian_affine_points(qbar: int, F: FieldSpec):
+    """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0."""
+    return [(F.element(x), F.element(y)) for x, y in _hermitian_codes(qbar, F)]
 
 
 def count_gk_places(curve: CurveModel) -> PlaceCensus:
@@ -234,33 +255,40 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     * den == 0 (forces y0 = 0): v(u) = v(y) + v(num) - v(den) = 1,
       again a simple zero of u, fully ramified, 1 place.
 
+    On logs (h = log(-1), y0 != 0 forces x0 != 0): den = 1 + x0^(qbar-1)
+    and num = -(1 + (-1) x0^(qbar^2-1)) are one-plus lookups, and the
+    fiber splits iff gcd(d, N) divides log u0.
+
     The census only counts; the report judges it against Hasse-Weil.
     """
     qbar = curve.params["qbar"]
     F = curve.field
     d = curve.params["d"]
+    N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
+    h = log[F.p - 1]
     census = PlaceCensus()
     split_fibers = inert_fibers = 0
-    one = F.one
-    e_num = qbar * qbar - 1
-    e_den = qbar - 1
-    for x0, y0 in hermitian_affine_points(qbar, F):
-        den = x0 ** e_den + one
-        num = x0 ** e_num - one
-        t = y0 * num
-        if not den.is_zero() and not t.is_zero():
-            u0 = t / den
-            roots = nth_roots(u0, d)
+    for x0, y0 in _hermitian_codes(qbar, F):
+        l_den = l_num = -1
+        if y0:
+            lx = log[x0]
+            l_den = one_plus[lx * (qbar - 1) % N]
+            l_num = one_plus[(lx * (qbar * qbar - 1) + h) % N]
+        if l_den >= 0 and l_num >= 0:
+            lu = (log[y0] + h + l_num - l_den) % N
+            roots = root_logs(lu, d, N)
             if roots:
                 split_fibers += 1
                 census.add(AFFINE_SPLIT, len(roots),
-                           Place(f"gk:x={x0.code},y={y0.code},z={roots[0].code}",
-                                 AFFINE_SPLIT, 1))
+                           Place(f"gk:x={x0},y={y0},z={_least_root(F, lu, d)}",
+                                 AFFINE_SPLIT, 1)
+                           if census.wants_sample(AFFINE_SPLIT) else None)
             else:
                 inert_fibers += 1
         else:
             census.add(ZERO_OF_COVER, 1,
-                       Place(f"gk:x={x0.code},y={y0.code},z=0", ZERO_OF_COVER, d))
+                       Place(f"gk:x={x0},y={y0},z=0", ZERO_OF_COVER, d)
+                       if census.wants_sample(ZERO_OF_COVER) else None)
     census.add(INFINITE, 1, Place("gk:P0", INFINITE, d))
     census.meta["split_fibers"] = split_fibers
     census.meta["inert_fibers"] = inert_fibers
@@ -276,18 +304,20 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     plane model.  The census only counts; the report judges it.
     """
     F = curve.field
+    N, one_plus = F.order - 1, F._one_plus
     census = PlaceCensus()
-    minus_one = F.from_int(-1)
     sixteenth_power_fibers = 0
-    for t0 in enumerate_field(F):
-        if t0.is_zero() or t0 == minus_one:
+    for i, t0 in enumerate(F._exp):
+        if one_plus[i] < 0:  # t0 = -1
             continue
-        c = t0 * (t0 + 1) ** 6
-        roots = nth_roots(c, 16)
+        lc = (i + 6 * one_plus[i]) % N  # c = t0 (t0 + 1)^6
+        roots = root_logs(lc, 16, N)
         if roots:
             sixteenth_power_fibers += 1
             census.add(AFFINE_SPLIT, len(roots),
-                       Place(f"gsx49:t={t0.code},z={roots[0].code}", AFFINE_SPLIT, 1))
+                       Place(f"gsx49:t={t0},z={_least_root(F, lc, 16)}",
+                             AFFINE_SPLIT, 1)
+                       if census.wants_sample(AFFINE_SPLIT) else None)
     census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", ZERO_OF_COVER, 1))   # over t=0
     census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", ZERO_OF_COVER, 1))   # over t=-1
     census.add(INFINITE, 1, Place("gsx49:Pinf", INFINITE, 1))
@@ -304,29 +334,43 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     point where either fails is counted in meta["condition5_violations"]
     and contributes no places; the report judges the count.  Zeros and
     poles of xy are fully ramified and give q+1 places in total.
+
+    On logs (h = log(-1)): b^((q+1)/3) = -(1 + a^((q+1)/3)) is a one-plus
+    lookup, the cubic splits iff 3 divides log(wab), and an element of
+    F_{q^2} lies in F_q iff q+1 divides its log.
     """
     q = curve.q
     F = curve.field
-    w = curve.constants["w"]
     m3 = (q + 1) // 3
-    minus_one = F.from_int(-1)
+    N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
+    h = log[F.p - 1]
+    lw = log[curve.constants["w"].code]
+    l3 = log[3 % F.p]
     census = PlaceCensus()
     violations = 0
-    for a in enumerate_field(F):
-        rhs = minus_one - a ** m3
-        for b in nth_roots(rhs, m3):
-            if a.is_zero() or b.is_zero():
-                census.add(ZERO_OF_COVER, 1,
-                           Place(f"fk:a={a.code},b={b.code}", ZERO_OF_COVER, 3))
-                continue
-            roots = nth_roots(w * a * b, 3)
-            if (len(roots) != 3
-                    or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
+
+    def add_ramified(a: int, b: int):
+        census.add(ZERO_OF_COVER, 1,
+                   Place(f"fk:a={a},b={b}", ZERO_OF_COVER, 3)
+                   if census.wants_sample(ZERO_OF_COVER) else None)
+
+    for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
+        add_ramified(0, exp[j])
+    for i, a in enumerate(exp):
+        s = one_plus[i * m3 % N]
+        if s < 0:  # b = 0
+            add_ramified(a, 0)
+            continue
+        for j in sorted(root_logs(h + s, m3, N), key=exp.__getitem__):
+            lab = i + j
+            roots = root_logs((lw + lab) % N, 3, N)
+            if len(roots) != 3 or (l3 + m3 * lab) % (q + 1):
                 violations += 1
                 continue
             census.add(AFFINE_SPLIT, 3,
-                       Place(f"fk:a={a.code},b={b.code},z={roots[0].code}",
-                             AFFINE_SPLIT, 1))
+                       Place(f"fk:a={a},b={exp[j]},z={_least_root(F, lw + lab, 3)}",
+                             AFFINE_SPLIT, 1)
+                       if census.wants_sample(AFFINE_SPLIT) else None)
     census.add(INFINITE, m3, Place("fk:Pinf,1", INFINITE, 3))
     census.meta["condition5_violations"] = violations
     ramified = census.counts.get(ZERO_OF_COVER, 0) + census.counts.get(INFINITE, 0)

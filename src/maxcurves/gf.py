@@ -158,6 +158,13 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """An explicit model of F_{p^k} with precomputed log/exp tables.
 
+    With N = p^k - 1 and g the generator, ``_exp[i]`` is the code of g^i
+    (i < N), ``_log[c]`` the log of the code c (-1 for zero), and
+    ``_one_plus[i]`` the log of 1 + g^i (-1 when 1 + g^i = 0), the
+    one-plus (Zech) log that turns addition into a table lookup:
+    g^i + g^j = g^(i + _one_plus[(j - i) % N]).  The censuses count on
+    these integers directly.
+
     Immutable after construction; safe to share.  Use :func:`make_field`
     to build one deterministically.
     """
@@ -180,6 +187,8 @@ class FieldSpec:
             raise ValueError(f"{generator} is not a primitive element")
         self._exp = exp
         self._log = log
+        # on codes, c + 1 only changes the constant digit
+        self._one_plus = [log[c - c % p + (c + 1) % p] for c in exp]
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -381,27 +390,34 @@ def enumerate_field(F: FieldSpec) -> list[FieldElement]:
     return [F.zero] + [FieldElement(F, c) for c in F._exp]
 
 
+def root_logs(la: int, n: int, N: int) -> range:
+    """Logs of all x with x^n = g^la in a field with N nonzero elements.
+
+    Empty unless gcd(n, N) divides la; otherwise the gcd(n, N) logs
+    x0 + t*N/gcd, t < gcd, in increasing order.  n must be positive.
+    """
+    g = gcd(n, N)
+    if la % g != 0:
+        return range(0)
+    # solve n*x = la (mod N): x0 modulo N/g, then g shifts
+    n_, N_ = n // g, N // g
+    x0 = (la // g * pow(n_, -1, N_)) % N_
+    return range(x0, N, N_)
+
+
 def nth_roots(a: FieldElement, n: int) -> list[FieldElement]:
     """All x in the field with x^n = a, sorted by code.
 
     For a = 0 this is [0]; otherwise the list is empty or has exactly
-    gcd(n, p^k - 1) elements, solved on the discrete-log side.
+    gcd(n, p^k - 1) elements, from :func:`root_logs`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     F = a.field
     if a.code == 0:
         return [F.zero]
-    N = F.order - 1
-    g = gcd(n, N)
-    la = F.log(a)
-    if la % g != 0:
-        return []
-    # solve n*x = la (mod N): x0 modulo N/g, then g shifts
-    n_, la_, N_ = n // g, la // g, N // g
-    x0 = (la_ * pow(n_, -1, N_)) % N_
-    # the roots are exp(x0 + t*N_) for t < g: one slice of the exp table
-    return [FieldElement(F, c) for c in sorted(F._exp[x0::N_])]
+    roots = root_logs(F.log(a), n, F.order - 1)
+    return [FieldElement(F, c) for c in sorted(F._exp[i] for i in roots)]
 
 
 def is_in_subfield(a: FieldElement, m: int) -> bool:

@@ -42,6 +42,26 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_capture(["--help"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--q", "0", "--r", "3"],
+        ["bound", "--q", "1", "--r", "2"],
+        ["deduce-dim", "--q", "0", "--g", "3"],
+        ["deduce-dim", "--q", "12", "--g", "3"],
+        ["orders", "--gens", "5,7,8", "--q", "6"],
+    ])
+    def test_non_prime_power_q_is_usage_error(self, capsys, argv):
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2 and out == ""
+        assert "is not a prime power" in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_capture(
+            ["verify", "gsx49", "--format", "json", "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.exists()
+
 
 def verify_json(argv, capsys):
     code, out, _ = run_capture(argv + ["--format", "json"], capsys)
@@ -55,32 +75,32 @@ class TestFaultsFailChecks:
     scan count, and the report judges."""
 
     def test_gsx49_fiber_loses_its_roots(self, capsys, monkeypatch):
-        real, dropped = curves.nth_roots, []
+        real, dropped = curves.root_logs, []
 
-        def lossy(a, n):
-            roots = real(a, n)
+        def lossy(la, n, N):
+            roots = real(la, n, N)
             if n == 16 and roots and not dropped:
-                dropped.append(a)
-                return []
+                dropped.append(la)
+                return range(0)
             return roots
 
-        monkeypatch.setattr(curves, "nth_roots", lossy)
+        monkeypatch.setattr(curves, "root_logs", lossy)
         code, checks = verify_json(["verify", "gsx49"], capsys)
         assert dropped and code == 1
         assert not checks["maximality"]["passed"]
         assert checks["maximality"]["details"]["delta"] == -16
 
     def test_fk_split_violation(self, capsys, monkeypatch):
-        real, hit = curves.nth_roots, []
+        real, hit = curves.root_logs, []
 
-        def lossy(a, n):
-            roots = real(a, n)
+        def lossy(la, n, N):
+            roots = real(la, n, N)
             if n == 3 and len(roots) == 3 and not hit:
-                hit.append(a)
-                roots.pop()
+                hit.append(la)
+                return roots[:-1]
             return roots
 
-        monkeypatch.setattr(curves, "nth_roots", lossy)
+        monkeypatch.setattr(curves, "root_logs", lossy)
         code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
         assert hit and code == 1
         split = checks["split-condition-everywhere"]

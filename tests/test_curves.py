@@ -133,6 +133,120 @@ class TestFKCensus:
         assert w ** 2 == curve.field.from_int(3)
 
 
+def reference_census(curve):
+    """The census written out on FieldElement objects: every point built,
+    roots from nth_roots, condition (5) from is_in_subfield."""
+    F = curve.field
+    census = curves.PlaceCensus()
+    Place = curves.Place
+    split, zero, inf = curves.AFFINE_SPLIT, curves.ZERO_OF_COVER, curves.INFINITE
+    if curve.family == "GK":
+        qbar, d = curve.params["qbar"], curve.params["d"]
+        split_fibers = inert_fibers = 0
+        for x0 in gf.enumerate_field(F):
+            for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1):
+                den = x0 ** (qbar - 1) + 1
+                t = y0 * (x0 ** (qbar * qbar - 1) - 1)
+                if den.is_zero() or t.is_zero():
+                    census.add(zero, 1, Place(f"gk:x={x0.code},y={y0.code},z=0",
+                                              zero, d))
+                    continue
+                roots = gf.nth_roots(t / den, d)
+                if roots:
+                    split_fibers += 1
+                    census.add(split, len(roots), Place(
+                        f"gk:x={x0.code},y={y0.code},z={roots[0].code}", split, 1))
+                else:
+                    inert_fibers += 1
+        census.add(inf, 1, Place("gk:P0", inf, d))
+        census.meta.update(split_fibers=split_fibers, inert_fibers=inert_fibers)
+    elif curve.family == "GSX49":
+        fibers = 0
+        for t0 in gf.enumerate_field(F):
+            if t0.is_zero() or t0 == -1:
+                continue
+            roots = gf.nth_roots(t0 * (t0 + 1) ** 6, 16)
+            if roots:
+                fibers += 1
+                census.add(split, len(roots),
+                           Place(f"gsx49:t={t0.code},z={roots[0].code}", split, 1))
+        census.add(zero, 1, Place("gsx49:P0", zero, 1))
+        census.add(zero, 2, Place("gsx49:P1", zero, 1))
+        census.add(inf, 1, Place("gsx49:Pinf", inf, 1))
+        census.meta["sixteenth_power_fibers"] = fibers
+    else:
+        q, w = curve.q, curve.constants["w"]
+        m3 = (q + 1) // 3
+        violations = 0
+        for a in gf.enumerate_field(F):
+            for b in gf.nth_roots(-1 - a ** m3, m3):
+                if a.is_zero() or b.is_zero():
+                    census.add(zero, 1, Place(f"fk:a={a.code},b={b.code}", zero, 3))
+                    continue
+                roots = gf.nth_roots(w * a * b, 3)
+                if (len(roots) != 3
+                        or not gf.is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
+                    violations += 1
+                    continue
+                census.add(split, 3, Place(
+                    f"fk:a={a.code},b={b.code},z={roots[0].code}", split, 1))
+        census.add(inf, m3, Place("fk:Pinf,1", inf, 3))
+        census.meta["condition5_violations"] = violations
+        census.meta["fully_ramified_places"] = (census.counts.get(zero, 0)
+                                                + census.counts[inf])
+    return census
+
+
+CENSUS_CASES = ([("gk", qbar) for qbar in (2, 3, 4)] + [("gsx49", None)]
+                + [("fk", q) for q in (5, 11, 17, 23, 29, 41)])
+
+
+class TestReferenceCensus:
+    @pytest.mark.parametrize("family,param", CENSUS_CASES)
+    def test_matches_reference_census(self, family, param):
+        if family == "gk":
+            curve, count = curves.gk_curve(param), curves.count_gk_places
+        elif family == "gsx49":
+            curve, count = curves.gsx49_curve(), curves.count_gsx49_places
+        else:
+            curve, count = curves.fk_curve(param), curves.count_fk_places
+        assert count(curve).to_fragment() == reference_census(curve).to_fragment()
+
+    @pytest.mark.parametrize("q", [5, 11, 17, 41])
+    def test_constant_w_is_first_in_enumeration_order(self, q):
+        F = curves.fk_curve(q).field
+        three = F.from_int(3)
+        first = next(w for w in gf.enumerate_field(F) if w ** ((q + 1) // 3) == three)
+        assert curves.fk_curve(q).constants["w"] == first
+
+    @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
+    def test_hermitian_points_in_walk_order(self, qbar, p, k):
+        F = gf.make_field(p, k)
+        want = [(x0, y0) for x0 in gf.enumerate_field(F)
+                for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1)]
+        assert curves.hermitian_affine_points(qbar, F) == want
+
+    @pytest.mark.parametrize("count,curve", [
+        (curves.count_fk_places, lambda: curves.fk_curve(41)),
+        (curves.count_gk_places, lambda: curves.gk_curve(3)),
+    ])
+    def test_builds_field_elements_for_samples_only(self, monkeypatch, count,
+                                                    curve):
+        # a kept sample builds its fiber value and nth_roots' roots: 1 + 7
+        # elements for GK (d = 7 at qbar = 3), 1 + 3 for FK (cube roots)
+        model, built = curve(), []
+        real = gf.FieldElement.__init__
+
+        def counting(self, field, code):
+            built.append(code)
+            real(self, field, code)
+
+        monkeypatch.setattr(gf.FieldElement, "__init__", counting)
+        census = count(model)
+        assert census.total > 1000
+        assert len(built) <= curves.SAMPLES_PER_CLASS * (1 + 7)
+
+
 class TestDivisors:
     def test_table_divisors_have_degree_zero(self):
         for table in (curves.gsx49_divisor_table(), curves.fk_divisor_table(5),

@@ -190,6 +190,26 @@ class TestNthRoots:
             gf.nth_roots(f49.one, 0)
 
 
+class TestLogTables:
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (7, 2), (2, 6), (3, 6)])
+    def test_one_plus_against_add_codes(self, p, k):
+        F = gf.make_field(p, k)
+        N = F.order - 1
+        assert len(F._one_plus) == N
+        for i, c in enumerate(F._exp):
+            assert F._one_plus[i] == F._log[F.add_codes(c, 1)]
+        # -1 is g^(N/2) for odd p and 1 = g^0 for p = 2
+        assert F._log[p - 1] == (N // 2 if p > 2 else 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 48, 50])
+    def test_root_logs_against_brute_oracle_f49(self, f49, n):
+        N = f49.order - 1
+        for la in range(N):
+            logs = gf.root_logs(la, n, N)
+            assert list(logs) == sorted(logs)
+            assert {f49.exp(j) for j in logs} == brute_nth_roots(f49.exp(la), n)
+
+
 class TestSubfield:
     def test_zero_always_in_subfield(self, f49):
         assert gf.is_in_subfield(f49.zero, 1)
