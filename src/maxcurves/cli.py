@@ -16,6 +16,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage/parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,6 +37,7 @@ def _prime_power_arg(text: str) -> int:
     return q
 
 
+@functools.cache  # one parser per process: building it costs far more than parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxcurves",

@@ -4,6 +4,13 @@ Fields are built eagerly with full discrete-log tables, so every field
 here must be tiny (the cap is ``FIELD_CAP`` elements).  Elements carry a
 canonical representation: an integer code encoding the coefficient
 vector of the residue polynomial in base p, low coefficient first.
+
+The exp table is a walk g^0, g^1, ... over codes.  Multiplying by the
+generator g is F_p-linear, so the walk splits each code into a low and a
+high half and adds the images of the two halves under g, looked up in
+tables of about p^(k/2) entries built with one polynomial product per
+digit (see :func:`_split_multiplier`), instead of one polynomial product
+per element.  No table the build makes exceeds 2 p^k entries.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from itertools import product
 from math import gcd
 
 #: Largest supported field size p^k.  Everything needed here fits: the
-#: curve catalog uses F_64, F_289, F_729 and, through the CLI, F_{q^2}
-#: for q up to 71.
+#: curve catalog builds F_49, F_64, F_729, F_4096 and F_{q^2} for q up
+#: to 71.
 FIELD_CAP = 5500
 
 
@@ -153,6 +160,46 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _split_multiplier(p: int, k: int, modulus: tuple[int, ...], g: int
+                      ) -> tuple[int, int, list[int], list[int], list[int]]:
+    """Tables that multiply a code c by the code g with lookups alone.
+
+    c -> g*c is F_p-linear: split c = lo + P*hi into a low half of
+    h = ceil(k/2) digits and a high half, and g*c is the digitwise sum of
+    the images low[lo] and high[hi].  Images are wide codes, one base-w
+    digit per coefficient with w = 2p - 1, so the integer sum s of two
+    has no carries, and g*c = wrap[s % W] + P*wrap[s // W] with W = w^h,
+    where wrap[t] is the code of the digits of a wide half t taken mod p.
+    Returns (P, W, wrap, low, high); no table has more than
+    max(p^k, w^h) < 2p^k entries.
+    """
+    h = (k + 1) // 2
+    w = 2 * p - 1
+    W = w ** h
+    # rewrap[t]: the digits of t mod p, kept wide.  On one digit both are
+    # t -> t % p, and the two copies of range(p) share their int objects.
+    wrap = rewrap = (list(range(p)) * 2)[:w]
+    for j in range(1, h):
+        pj, wj = p ** j, w ** j
+        wrap = [c + t % p * pj for t in range(w) for c in wrap]
+        rewrap = [c + t % p * wj for t in range(w) for c in rewrap]
+    mod, gv = list(modulus), _decode(g, p, k)
+
+    def images(first: int, digits: int) -> list[int]:
+        # g*(c*p^first) for every c < p^digits: one polynomial product
+        # per digit, then one wide sum per entry
+        out = [0]
+        for j in range(first, first + digits):
+            # u = g*x^j; its coefficients are < p, so base w gives its wide code
+            u = _encode(_poly_mulmod(_decode(p ** j, p, k), gv, mod, p), w)
+            for i in range(len(out) * (p - 1)):
+                s = out[i] + u
+                out.append(rewrap[s % W] + W * rewrap[s // W])
+        return out
+
+    return p ** h, W, wrap, images(0, h), images(h, k - h)
+
+
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
@@ -176,14 +223,17 @@ class FieldSpec:
         self.modulus = modulus
         self.generator = generator
         n = self.order - 1
+        P, W, wrap, low, high = _split_multiplier(p, k, modulus, generator)
         exp = [0] * n
         log = [-1] * self.order
-        x = 1
+        lo, hi = 1, 0
         for i in range(n):
+            x = lo + P * hi
             exp[i] = x
             log[x] = i
-            x = self._mul_codes_raw(x, generator)
-        if x != 1 or min(log[1:]) < 0:
+            s = low[lo] + high[hi]
+            lo, hi = wrap[s % W], wrap[s // W]
+        if lo + P * hi != 1 or min(log[1:]) < 0:
             raise ValueError(f"{generator} is not a primitive element")
         self._exp = exp
         self._log = log
@@ -191,13 +241,6 @@ class FieldSpec:
         self._one_plus = [log[c - c % p + (c + 1) % p] for c in exp]
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-
-    # -- raw coefficient-vector arithmetic (used to bootstrap the tables)
-
-    def _mul_codes_raw(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        return _encode(_poly_mulmod(_decode(a, p, k), _decode(b, p, k),
-                                    list(self.modulus), p), p)
 
     # -- table-backed element arithmetic
 

@@ -54,6 +54,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "is not a prime power" in err
 
+    def test_one_parser_serves_successive_runs(self, capsys):
+        cli._build_parser.cache_clear()
+        code, out, _ = run_capture(
+            ["verify", "fk", "--q", "5", "--inject-census-delta", "1"], capsys)
+        assert code == 1 and "result: FAIL" in out
+        code, out, _ = run_capture(["verify", "fk", "--q", "5"], capsys)
+        assert code == 0 and "result: PASS" in out  # the delta is not sticky
+        code, out, err = run_capture(["verify", "fk", "--q", "5", "--bogus"], capsys)
+        assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
+        code, out, err = run_capture(["bound", "--q", "11", "--r", "4"], capsys)
+        assert (code, out, err) == (0, "360/24 = 15\n", "")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "report.json"
         code, out, err = run_capture(

@@ -1,6 +1,8 @@
 """Field construction and arithmetic, checked against brute-force oracles."""
 
 import itertools
+import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -208,6 +210,62 @@ class TestLogTables:
             logs = gf.root_logs(la, n, N)
             assert list(logs) == sorted(logs)
             assert {f49.exp(j) for j in logs} == brute_nth_roots(f49.exp(la), n)
+
+
+def reference_tables(F):
+    """Oracle: the log/exp/one-plus tables by one polynomial product per
+    element, with F's modulus and generator."""
+    p, k, N = F.p, F.k, F.order - 1
+    mod, g = list(F.modulus), gf._decode(F.generator, p, k)
+    exp, log = [], [-1] * F.order
+    x = [1]
+    for i in range(N):
+        code = gf._encode(x, p)
+        exp.append(code)
+        log[code] = i
+        x = gf._poly_mulmod(x, g, mod, p)
+    assert x == [1]
+    one_plus = []
+    for code in exp:
+        v = gf._decode(code, p, k)
+        v[0] = (v[0] + 1) % p
+        one_plus.append(log[gf._encode(v, p)])
+    return exp, log, one_plus
+
+
+def table_bytes(F):
+    return sum(sys.getsizeof(t) + sum(sys.getsizeof(v) for v in t)
+               for t in (F._exp, F._log, F._one_plus))
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize("p,k", [
+        (7, 2), (2, 6), (3, 6), (2, 12), (11, 2), (71, 2),  # catalog fields
+        (7, 1), (5479, 1),                                  # prime fields
+        (2, 5), (3, 5), (2, 11), (17, 3),                   # odd degrees
+    ])
+    def test_tables_match_per_element_products(self, p, k):
+        F = gf.make_field(p, k)
+        assert (F._exp, F._log, F._one_plus) == reference_tables(F)
+
+    @pytest.mark.parametrize("p,k", [(5479, 1), (17, 3)])
+    def test_build_memory_is_bounded_by_its_tables(self, p, k):
+        # a sum table on pairs of half-codes, p^(k+1) entries (p^2 for
+        # k = 1), would break this bound
+        tracemalloc.start()
+        try:
+            F = gf.make_field(p, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table_bytes(F)
+
+    @pytest.mark.parametrize("p,k,code", [(2, 12, 2), (7, 2, 1)])
+    def test_non_primitive_generator_is_rejected(self, p, k, code):
+        F = gf.make_field(p, k)
+        assert F.generator != code
+        with pytest.raises(ValueError, match="not a primitive element"):
+            gf.FieldSpec(p, k, F.modulus, code)
 
 
 class TestSubfield:
