@@ -18,6 +18,6 @@ from .curves import (CurveModel, Place, PlaceCensus,
 from .verify import (CheckResult, VerificationReport, allowed_j2_values,
                      castelnuovo_bound, check_maximal,
                      deduce_epsilon_sequence, deduce_frobenius_dimension,
-                     padic_admissible, theorem_report)
+                     padic_admissible, theorem_report, weierstrass_weight)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

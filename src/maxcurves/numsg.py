@@ -109,10 +109,10 @@ def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OrderSequence:
-    """A strictly increasing order sequence with its role tag."""
+    """A strictly increasing order sequence 0 < 1 < ... (the j-orders at
+    a place or the generic orders of a linear series)."""
 
     orders: tuple[int, ...]
-    role: str = "rational-place-j"  # or generic-eps / nonrational-place-j
 
     def __post_init__(self):
         o = self.orders
@@ -147,6 +147,6 @@ def rational_point_orders(S: NumericalSemigroup, q: int) -> OrderSequence:
     m = nongaps_upto(S, q + 1)
     r = frobenius_dimension_from_semigroup(S, q)
     orders = [0, 1] + [q + 1 - m[i] for i in range(r - 2, 0, -1)] + [q + 1]
-    seq = OrderSequence(tuple(orders), role="rational-place-j")
+    seq = OrderSequence(tuple(orders))
     assert len(seq) == r + 1
     return seq

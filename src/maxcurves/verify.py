@@ -1,5 +1,7 @@
-"""Deduction layer: maximality checks, genus bounds, order-sequence
-deduction, and per-theorem verification reports.
+"""Deduction layer: maximality checks, genus bounds, per-theorem
+verification reports, and the generic orders (0, 1, eps2, q) deduced by
+elimination (Stöhr–Voloch, Proc. LMS 52, 1986, §1): the p-adic criterion
+and the Weierstrass weight of each family's place classes.
 
 All bound comparisons use exact rational arithmetic; the floor-adjacent
 corner cases are exactly where bugs would hide.
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import curves, numsg
 from .curves import CurveModel, PlaceCensus
@@ -20,9 +23,6 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def to_fragment(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 @dataclass
@@ -48,21 +48,10 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "field": self.field_spec,
-            "q": self.q,
-            "p": self.p,
-            "genus": self.genus,
-            "census": self.census,
-            "semigroups": self.semigroups,
-            "frobenius_dimension": self.frobenius_dimension,
-            "order_sequences": self.order_sequences,
-            "epsilon_sequence": self.epsilon_sequence,
-            "checks": [c.to_fragment() for c in self.checks],
-            "assumptions": self.assumptions,
-            "passing": self.passing,
-        }
+        """The fields in declaration order, ``field_spec`` as "field"."""
+        d = {"field" if k == "field_spec" else k: v for k, v in vars(self).items()}
+        return dict(d, checks=[dict(vars(c)) for c in self.checks],
+                    passing=self.passing)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +101,12 @@ def deduce_frobenius_dimension(q: int, g: int) -> set[int]:
 
 
 def padic_admissible(orders, p: int) -> bool:
-    """p-adic criterion: any order below p drags 0..order-1 in with it."""
+    """p-adic criterion: if e is an order and C(e, mu) is prime to p,
+    then mu is an order too."""
     entries = set(orders)
     if sorted(entries) != list(orders):
         raise ValueError("orders must be strictly increasing")
-    return all(set(range(e)) <= entries for e in entries if e < p)
+    return all(mu in entries for e in entries for mu in range(e) if comb(e, mu) % p)
 
 
 def allowed_j2_values(q: int) -> set[int]:
@@ -127,38 +117,29 @@ def allowed_j2_values(q: int) -> set[int]:
     return {2, 3, q + 1 - (q + 1) // 2, q + 1 - (2 * (q + 1)) // 3}
 
 
-def deduce_epsilon_sequence(j2_values, q: int, p: int,
-                            frobenius_dimension: int = 3) -> OrderSequence:
-    """Deduce the generic order sequence (0, 1, eps2, q) from observed
-    second orders at degree-one place classes.
+def weierstrass_weight(classes: dict, eps, g: int, q: int) -> tuple[int, int]:
+    """Sum of count * sum(j_i - eps_i) over ``classes`` ({class: (count,
+    j-orders or None)}, None weighing 1 a place as j_r = q+1), and deg R =
+    (sum eps_i)(2g-2) + (r+1)(q+1) for the Frobenius series |(q+1)P|."""
+    weight = sum(n * (sum(j) - sum(eps) if j else 1) for n, j in classes.values())
+    return weight, sum(eps) * (2 * g - 2) + len(eps) * (q + 1)
 
-    The minimum observed j_2 equals eps2 when the dimension is 3, except
-    that eps2 = 3 is only possible in characteristic 3: for p != 3 the
-    p-adic criterion eliminates it and forces eps2 = 2.
-    """
-    j2_values = list(j2_values)
-    if not j2_values:
-        raise ValueError("need at least one observed j_2 value")
-    if frobenius_dimension != 3:
-        raise ValueError(
-            "deduction via min j_2 is only valid for Frobenius dimension 3")
-    m = min(j2_values)
-    if m < 2:
-        raise ValueError(f"observed j_2 = {m} below the minimum possible 2")
-    if m == 2:
-        eps2 = 2
-    elif m == 3:
-        eps2 = 3 if p == 3 else 2  # p-adic elimination of (0,1,3,q)
-    else:
-        raise ValueError(
-            f"min observed j_2 = {m} inconsistent with eps2 in {{2,3}}")
-    seq = OrderSequence((0, 1, eps2, q), role="generic-eps")
-    if not padic_admissible(seq.orders, p):
-        raise ValueError(f"deduced sequence {seq.orders} fails the p-adic criterion")
-    if any(j < eps2 for j in j2_values):
-        bad = [j for j in j2_values if j < eps2]
-        raise ValueError(f"observed j_2 values {bad} below deduced eps2 = {eps2}")
-    return seq
+
+def deduce_epsilon_sequence(classes: dict, q: int, p: int, g: int) -> list[dict]:
+    """Candidate table for the generic orders (0, 1, eps2, q), r = 3: each
+    2 <= eps2 <= min known j_2 (eps_i <= j_i everywhere) survives when it
+    is p-adically admissible and its Weierstrass weight is <= deg R."""
+    known = [j[2] for _, j in classes.values() if j]
+    if not known:
+        raise ValueError("need at least one place class with known orders")
+    table = []
+    for eps2 in range(2, min(known + [q - 1]) + 1):
+        eps = (0, 1, eps2, q)
+        weight, deg_r = weierstrass_weight(classes, eps, g, q)
+        padic = padic_admissible(eps, p)
+        table.append({"eps2": eps2, "padic": padic, "weight": weight,
+                      "degree_R": deg_r, "survives": padic and weight <= deg_r})
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +202,34 @@ def _dimension(report: VerificationReport, g: int,
     return r
 
 
-def _finish_epsilon(report: VerificationReport, j2_by_class: dict[str, int],
+def _finish_epsilon(report: VerificationReport, classes: dict,
                     r: int | None, expected: tuple[int, ...]):
-    """Shared tail: deduce the generic orders, validate j_2 values."""
-    try:
-        eps = deduce_epsilon_sequence(j2_by_class.values(), report.q, report.p,
-                                      frobenius_dimension=r)
-    except ValueError as exc:
-        report.checks.append(CheckResult(
-            "epsilon-sequence", False, {"error": str(exc)}))
-        return
-    report.epsilon_sequence = list(eps)
+    """Shared tail: eliminate generic orders, weigh, validate j_2."""
+    q, g = report.q, report.genus["formula"]
+    table = deduce_epsilon_sequence(classes, q, report.p, g)
+    survivors = [[0, 1, row["eps2"], q] for row in table if row["survives"]]
+    details = {"candidates": table, "survivors": survivors,
+               "expected": list(expected)}
+    if r != 3:
+        details["error"] = f"the elimination needs Frobenius dimension 3, not {r}"
+    elif len(survivors) == 1:
+        report.epsilon_sequence = survivors[0]
     report.checks.append(CheckResult(
-        "epsilon-sequence", eps.orders == expected,
-        {"deduced": list(eps), "expected": list(expected)}))
-    if eps.orders[2] == 2:
-        allowed = allowed_j2_values(report.q)
-        bad = {cls: j for cls, j in j2_by_class.items() if j not in allowed}
+        "epsilon-sequence", r == 3 and survivors == [list(expected)], details))
+    weight, deg_r = weierstrass_weight(classes, expected, g, q)
+    report.checks.append(CheckResult(
+        "weierstrass-weight", weight <= deg_r,
+        {"weight": weight, "degree_R": deg_r, "slack": deg_r - weight}))
+    if report.epsilon_sequence and report.epsilon_sequence[2] == 2:
+        allowed = allowed_j2_values(q)
+        j2 = {name: seq[2] for name, seq in report.order_sequences.items()}
+        bad = {name: j for name, j in j2.items() if j not in allowed}
         report.checks.append(CheckResult(
             "j2-values-allowed", not bad,
-            {"allowed": sorted(allowed), "observed": j2_by_class,
-             "violations": bad}))
+            {"allowed": sorted(allowed), "observed": j2, "violations": bad}))
     report.assumptions.append(
-        "j_2 is recorded per place class; places within a class share a "
-        "Weierstrass semigroup (automorphism transitivity)")
+        "orders are recorded per place class; places within a class share "
+        "them (automorphism transitivity)")
 
 
 def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
@@ -273,12 +258,13 @@ def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
 
     # unramified class: the transitivity argument pins a single shared
     # sequence; it is consumed as given, not recomputed
-    unram = OrderSequence((0, 1, qbar, q + 1), role="rational-place-j")
+    unram = OrderSequence((0, 1, qbar, q + 1))
     report.order_sequences["unramified"] = list(unram)
 
-    j2 = {"ramified": ram.orders[2], "unramified": unram.orders[2]}
-    expected_eps2 = 3 if (curve.p == 3 and qbar == 3) else 2
-    _finish_epsilon(report, j2, r, (0, 1, expected_eps2, q))
+    n = census.counts
+    classes = {"ramified": (n[curves.ZERO_OF_COVER] + n[curves.INFINITE], ram.orders),
+               "unramified": (n[curves.AFFINE_SPLIT], unram.orders)}
+    _finish_epsilon(report, classes, r, (0, 1, qbar, q))
     return report
 
 
@@ -322,7 +308,8 @@ def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         "j2-at-Pinf", orders.orders == (0, 1, 3, 8) and orders.orders[2] == floor_form,
         {"orders": list(orders), "floor_form": floor_form}))
 
-    _finish_epsilon(report, {"Pinf": orders.orders[2]}, r, (0, 1, 2, q))
+    classes = {"Pinf": (1, orders.orders), "other": (census.total - 1, None)}
+    _finish_epsilon(report, classes, r, (0, 1, 2, q))
     return report
 
 
@@ -373,7 +360,10 @@ def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         "j2-at-distinguished-place", r == 3 and len(known) == 4 and j2 == 3,
         {"known_nongaps": known, "j2": j2}))
 
-    _finish_epsilon(report, {"distinguished": j2}, r, (0, 1, 2, q))
+    ramified = census.meta["fully_ramified_places"]
+    classes = {"ramified": (ramified, (0, 1, j2, q + 1)),
+               "split": (census.total - ramified, None)}
+    _finish_epsilon(report, classes, r, (0, 1, 2, q))
     return report
 
 

@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 from maxcurves import cli, curves, gf, numsg, verify
+import test_verify
 from test_numsg import assert_matches_sieve
 
 
@@ -90,8 +91,10 @@ def test_criterion_3_gsx49_theorem():
     assert orders.orders[2] == 3 == 8 - (2 * 8) // 3
 
     assert not verify.padic_admissible((0, 1, 3, 7), 7)
-    eps = verify.deduce_epsilon_sequence([3], 7, 7)
-    assert eps.orders == (0, 1, 2, 7)
+    classes = {"Pinf": (1, orders.orders), "other": (census.total - 1, None)}
+    table = verify.deduce_epsilon_sequence(classes, 7, 7, g)
+    assert [row["eps2"] for row in table if row["survives"]] == [2]
+    assert verify.weierstrass_weight(classes, (0, 1, 2, 7), g, 7) == (149, 152)
     assert verify.theorem_report(curves.gsx49_curve()).passing
 
     elapsed = time.perf_counter() - start
@@ -155,10 +158,9 @@ def test_criterion_5_property_suites():
         for r in range(2, min(q, 10)):
             assert verify.castelnuovo_bound(q, r) > verify.castelnuovo_bound(q, r + 1)
 
-    # (d) argmin stability under injected larger j_2 observations
-    base = verify.deduce_epsilon_sequence([3, 7], 27, 3)
-    for extra in ([], [7], [8, 9], [27], list(range(4, 30))):
-        assert verify.deduce_epsilon_sequence([3, 7] + extra, 27, 3).orders == base.orders
+    # (d) elimination: added places never revive a candidate, and no
+    # survivor exceeds the least known j_2
+    test_verify.test_elimination_monotone()
 
     # (e) negative controls
     for delta in (-1, 1):

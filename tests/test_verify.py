@@ -1,11 +1,12 @@
 """Deduction layer: bounds, p-adic filtering, theorem reports."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxcurves import curves, verify
+from maxcurves import cli, curves, verify
 from maxcurves.curves import PlaceCensus
 
 
@@ -99,6 +100,15 @@ class TestPadic:
         with pytest.raises(ValueError):
             verify.padic_admissible((0, 2, 1), 5)
 
+    @pytest.mark.parametrize("orders, p", [((0, 1, 3, 64), 2), ((0, 1, 5, 9), 3)])
+    def test_rejects_orders_above_p(self, orders, p):
+        # C(3,2) = 3 is odd and C(5,2) = 10 is 1 mod 3, so 2 must be an order
+        assert not verify.padic_admissible(orders, p)
+
+    def test_accepts_01464_in_char2(self):
+        # C(4, mu) is even for 0 < mu < 4
+        assert verify.padic_admissible((0, 1, 4, 64), 2)
+
 
 class TestAllowedJ2:
     def test_values(self):
@@ -115,40 +125,107 @@ class TestAllowedJ2:
         assert 6 not in verify.allowed_j2_values(7)
 
 
+def gk_classes(qbar):
+    """GK's class table from the closed forms: q+1 ramified places with
+    orders (0,1,d,q+1), the rest unramified with (0,1,qbar,q+1)."""
+    q, g, d = qbar ** 3, curves.genus_gk(qbar), qbar * qbar - qbar + 1
+    classes = {"ramified": (q + 1, (0, 1, d, q + 1)),
+               "unramified": (curves.maximal_N(q, g) - q - 1, (0, 1, qbar, q + 1))}
+    return classes, q, g
+
+
+def survivors(table):
+    return [row["eps2"] for row in table if row["survives"]]
+
+
+class TestWeierstrassWeight:
+    def test_gk_weight_equals_degree(self):
+        for qbar, deg in ((2, 234), (3, 6188), (4, 63050)):
+            classes, q, g = gk_classes(qbar)
+            assert verify.weierstrass_weight(classes, (0, 1, qbar, q), g, q) == (deg, deg)
+
+    def test_unknown_orders_weigh_one_per_place(self):
+        classes = {"Pinf": (1, (0, 1, 3, 8)), "other": (147, None)}
+        assert verify.weierstrass_weight(classes, (0, 1, 2, 7), 7, 7) == (149, 152)
+
+
 class TestEpsilonDeduction:
     def test_gk(self):
-        seq = verify.deduce_epsilon_sequence([3, 7], 27, 3)
-        assert seq.orders == (0, 1, 3, 27)
-        assert seq.role == "generic-eps"
+        for qbar, p in ((2, 2), (3, 3), (4, 2)):
+            classes, q, g = gk_classes(qbar)
+            table = verify.deduce_epsilon_sequence(classes, q, p, g)
+            assert survivors(table) == [qbar]
+            assert [row["eps2"] for row in table] == list(range(2, qbar + 1))
+
+    @pytest.mark.parametrize("qbar, p, eliminated", [
+        (3, 3, {"eps2": 2, "padic": True, "weight": 12264, "degree_R": 5992,
+                "survives": False}),
+        (4, 2, {"eps2": 2, "padic": True, "weight": 187980, "degree_R": 61230,
+                "survives": False}),
+    ])
+    def test_gk_eps2_two_eliminated_by_weight(self, qbar, p, eliminated):
+        classes, q, g = gk_classes(qbar)
+        assert verify.deduce_epsilon_sequence(classes, q, p, g)[0] == eliminated
+
+    def test_gk4_eps2_three_eliminated_by_padic(self):
+        classes, q, g = gk_classes(4)
+        row = verify.deduce_epsilon_sequence(classes, q, 2, g)[1]
+        assert row["eps2"] == 3 and not row["padic"] and not row["survives"]
 
     def test_gsx49_padic_filtering(self):
-        assert verify.deduce_epsilon_sequence([3], 7, 7).orders == (0, 1, 2, 7)
+        classes = {"Pinf": (1, (0, 1, 3, 8)), "other": (147, None)}
+        table = verify.deduce_epsilon_sequence(classes, 7, 7, 7)
+        assert survivors(table) == [2]
+        assert table[1]["eps2"] == 3 and not table[1]["padic"]
 
     def test_fk(self):
-        assert verify.deduce_epsilon_sequence([3], 5, 5).orders == (0, 1, 2, 5)
+        classes = {"ramified": (12, (0, 1, 3, 12)), "split": (528, None)}
+        table = verify.deduce_epsilon_sequence(classes, 11, 11, 19)
+        assert survivors(table) == [2]
+        assert (table[0]["weight"], table[0]["degree_R"]) == (552, 552)
 
     def test_min_two(self):
-        assert verify.deduce_epsilon_sequence([2, 3], 8, 2).orders == (0, 1, 2, 8)
+        # a least known j_2 of 2 leaves eps2 = 2 as the only candidate
+        classes = {"a": (9, (0, 1, 3, 9)), "b": (216, (0, 1, 2, 9))}
+        table = verify.deduce_epsilon_sequence(classes, 8, 2, 10)
+        assert [row["eps2"] for row in table] == survivors(table) == [2]
 
-    def test_rejects_large_min(self):
+    def test_rejects_no_known_class(self):
         with pytest.raises(ValueError):
-            verify.deduce_epsilon_sequence([5, 7], 11, 11)
+            verify.deduce_epsilon_sequence({"split": (528, None)}, 11, 11, 19)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            verify.deduce_epsilon_sequence([], 7, 7)
+            verify.deduce_epsilon_sequence({}, 7, 7, 7)
 
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            verify.deduce_epsilon_sequence([2], 4, 2, frobenius_dimension=2)
+    def test_rejects_wrong_dimension(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "deduce_frobenius_dimension", lambda q, g: {4})
+        assert cli.run(["verify", "fk", "--q", "5", "--format", "json"]) == 1
+        rep = json.loads(capsys.readouterr().out)["report"]
+        eps = next(c for c in rep["checks"] if c["name"] == "epsilon-sequence")
+        assert not eps["passed"]
+        assert "Frobenius dimension 3, not 4" in eps["details"]["error"]
+        assert rep["epsilon_sequence"] is None
 
-    @given(st.lists(st.integers(min_value=4, max_value=40), max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_argmin_stability(self, extra):
-        # adding larger j_2 observations never changes the deduction
-        base = verify.deduce_epsilon_sequence([3, 7], 27, 3)
-        noisy = verify.deduce_epsilon_sequence([3, 7] + extra, 27, 3)
-        assert noisy.orders == base.orders
+
+@given(st.sampled_from([(8, 2, 10), (27, 3, 99), (7, 7, 7), (11, 11, 19),
+                        (64, 2, 456)]),
+       st.lists(st.tuples(st.integers(1, 5000), st.integers(2, 70) | st.none(),
+                          st.integers(0, 5000)), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_elimination_monotone(field, rows):
+    # adding places to a class never revives an eliminated candidate,
+    # and no survivor exceeds the least known j_2
+    q, p, g = field
+    orders = [(0, 1, min(j2, q), q + 1) if j2 else None for _, j2, _ in rows]
+    orders[0] = orders[0] or (0, 1, 2, q + 1)  # at least one known class
+    base = {i: (n, o) for i, ((n, _, _), o) in enumerate(zip(rows, orders))}
+    more = {i: (n + extra, o) for i, ((n, _, extra), o) in enumerate(zip(rows, orders))}
+    before = verify.deduce_epsilon_sequence(base, q, p, g)
+    after = verify.deduce_epsilon_sequence(more, q, p, g)
+    assert set(survivors(after)) <= set(survivors(before))
+    least = min(o[2] for o in orders if o)
+    assert all(eps2 <= least for eps2 in survivors(after))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +267,19 @@ class TestTheoremReports:
         assert fk11.frobenius_dimension["from_bound"] == [3]
         assert fk11.order_sequences["distinguished"] == [0, 1, 3, 12]
 
+    def test_gk4_passes(self):
+        rep = verify.theorem_report(curves.gk_curve(4))
+        assert rep.passing
+        assert rep.epsilon_sequence == [0, 1, 4, 64]
+
+    def test_census_delta_breaks_the_weight(self, capsys):
+        argv = ["verify", "gk", "--qbar", "2", "--inject-census-delta", "1"]
+        assert cli.run(argv + ["--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+        failed = {c["name"]: c["details"] for c in checks if not c["passed"]}
+        assert failed["weierstrass-weight"] == {
+            "weight": 235, "degree_R": 234, "slack": -1}
+
     def test_census_delta_flips(self):
         rep = verify.theorem_report(curves.gsx49_curve(), census_delta=1)
         assert not rep.passing
@@ -223,15 +313,10 @@ class TestTheoremReports:
         assert "census: total 148" in text
 
 
-GK4_DEFECT = ("epsilon-sequence fails at GK qbar = 4: deduce_epsilon_sequence "
-              "admits only eps2 in {2, 3}, and the minimum observed j_2 is 4")
-
-
 @pytest.mark.parametrize("make_curve", [
     pytest.param(lambda: curves.gk_curve(2), id="gk-2"),
     pytest.param(lambda: curves.gk_curve(3), id="gk-3"),
-    pytest.param(lambda: curves.gk_curve(4), id="gk-4", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=GK4_DEFECT)),
+    pytest.param(lambda: curves.gk_curve(4), id="gk-4"),
     pytest.param(curves.gsx49_curve, id="gsx49"),
     *(pytest.param(lambda q=q: curves.fk_curve(q), id=f"fk-{q}")
       for q in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)),
