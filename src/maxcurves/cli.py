@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__, curves, gf, numsg, verify
@@ -149,7 +150,7 @@ def _cmd_semigroup(args) -> int:
 def _cmd_orders(args) -> int:
     S = numsg.semigroup_from_generators(_parse_gens(args.gens))
     seq = numsg.rational_point_orders(S, args.q)
-    r = numsg.frobenius_dimension_from_semigroup(S, args.q)
+    r = len(seq) - 1
     if args.format == "json":
         _emit(_json_doc({"orders": list(seq), "dimension": r,
                          "q": args.q, "generators": list(S.generators)}), args.out)
@@ -159,14 +160,14 @@ def _cmd_orders(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    b = verify.castelnuovo_bound(args.q, args.r)
+    raw_num, raw_den = verify.castelnuovo_terms(args.q, args.r)
+    d = math.gcd(raw_num, raw_den)
+    num, den = raw_num // d, raw_den // d
     if args.format == "json":
         _emit(_json_doc({"q": args.q, "r": args.r,
-                         "bound": {"numerator": b.numerator,
-                                   "denominator": b.denominator}}), args.out)
+                         "bound": {"numerator": num, "denominator": den}}), args.out)
     else:
-        raw_num, raw_den = verify.castelnuovo_terms(args.q, args.r)
-        pretty = str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
+        pretty = str(num) if den == 1 else f"{num}/{den}"
         _emit(f"{raw_num}/{raw_den} = {pretty}", args.out)
     return 0
 

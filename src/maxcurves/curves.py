@@ -17,7 +17,7 @@ they keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product
 from math import gcd
 
@@ -32,13 +32,10 @@ INFINITE = "infinite"
 SAMPLES_PER_CLASS = 3
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "id class_tag e")):
     """A degree-one place record with class tag and ramification index."""
 
-    id: str
-    class_tag: str
-    e: int
+    __slots__ = ()
 
 
 class PlaceCensus:
@@ -74,17 +71,16 @@ class PlaceCensus:
         }
 
 
-@dataclass
 class CurveModel:
-    """A catalog entry: family tag, parameters, base field, metadata."""
+    """A catalog entry: family tag (GK | GSX49 | FK), parameters, base
+    field, q (the curve is maximal over F_{q^2}), p, equations and named
+    constants."""
 
-    family: str  # GK | GSX49 | FK
-    params: dict
-    field: FieldSpec
-    q: int  # the curve is maximal over F_{q^2}
-    p: int
-    equations: tuple[str, ...]
-    constants: dict = field(default_factory=dict)
+    def __init__(self, family: str, params: dict, field: FieldSpec, q: int,
+                 p: int, equations: tuple[str, ...], constants: dict | None = None):
+        self.family, self.params, self.field = family, params, field
+        self.q, self.p, self.equations = q, p, equations
+        self.constants = constants or {}
 
     def to_fragment(self) -> dict:
         frag = {
@@ -381,16 +377,13 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 # ---------------------------------------------------------------------------
 # principal divisors as integer valuation rows
 
-@dataclass
 class PrincipalDivisorTable:
     """Principal divisors of named function symbols, as an integer
     matrix: ``places[pid][i]`` is the valuation of ``symbols[i]`` at the
     place ``pid``."""
 
-    symbols: tuple[str, ...]
-    places: dict[str, tuple[int, ...]]
-
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple[int, ...]]):
+        self.symbols, self.places = symbols, places
         for i, sym in enumerate(self.symbols):
             deg = sum(row[i] for row in self.places.values())
             if deg != 0:

@@ -11,7 +11,6 @@ Apéry set.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
 from functools import reduce
 
@@ -35,7 +34,8 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        return tuple(n for n in range(self.conductor) if not contains(self, n))
+        apery, m = self.apery, self.generators[0]
+        return tuple(n for n in range(self.conductor) if n < apery[n % m])
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -104,18 +104,16 @@ def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
     """The non-gaps of S in [0, B], increasing."""
     if B < 0:
         raise ValueError("B must be non-negative")
-    return [n for n in range(B + 1) if contains(S, n)]
+    apery, m = S.apery, S.generators[0]
+    return [n for n in range(B + 1) if n >= apery[n % m]]
 
 
-@dataclass(frozen=True)
 class OrderSequence:
     """A strictly increasing order sequence 0 < 1 < ... (the j-orders at
     a place or the generic orders of a linear series)."""
 
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        o = self.orders
+    def __init__(self, orders: tuple[int, ...]):
+        self.orders = o = orders
         if any(b <= a for a, b in zip(o, o[1:])):
             raise ValueError(f"order sequence not strictly increasing: {o}")
         if o and o[0] != 0:
@@ -132,21 +130,18 @@ class OrderSequence:
 
 def frobenius_dimension_from_semigroup(S: NumericalSemigroup, q: int) -> int:
     """Dimension r of the degree-(q+1) linear series read off from H(P):
-    the non-gaps of a maximal curve's rational place in [0, q+1] are
-    exactly m_0, ..., m_r with m_{r-1} = q and m_r = q+1."""
-    if not (contains(S, q) and contains(S, q + 1)):
-        raise ValueError(
-            f"q={q} and q+1 must be non-gaps (semigroup cannot come from "
-            f"a maximal curve over F_q^2)")
-    return len(nongaps_upto(S, q + 1)) - 1
+    one less than the length of the order sequence at P."""
+    return len(rational_point_orders(S, q)) - 1
 
 
 def rational_point_orders(S: NumericalSemigroup, q: int) -> OrderSequence:
     """Order sequence at a rational place from its Weierstrass semigroup:
-    0 < 1 < q+1-m_{r-2} < ... < q+1-m_1 < q+1."""
+    the non-gaps of a maximal curve's rational place in [0, q+1] are
+    exactly m_0 < ... < m_r with m_{r-1} = q and m_r = q+1, and the
+    orders are 0 < 1 < q+1-m_{r-2} < ... < q+1-m_1 < q+1."""
+    if not (contains(S, q) and contains(S, q + 1)):
+        raise ValueError(
+            f"q={q} and q+1 must be non-gaps (semigroup cannot come from "
+            f"a maximal curve over F_q^2)")
     m = nongaps_upto(S, q + 1)
-    r = frobenius_dimension_from_semigroup(S, q)
-    orders = [0, 1] + [q + 1 - m[i] for i in range(r - 2, 0, -1)] + [q + 1]
-    seq = OrderSequence(tuple(orders))
-    assert len(seq) == r + 1
-    return seq
+    return OrderSequence((0, 1, *(q + 1 - n for n in reversed(m[1:-2])), q + 1))

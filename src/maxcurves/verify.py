@@ -3,14 +3,13 @@ verification reports, and the generic orders (0, 1, eps2, q) deduced by
 elimination (Stöhr–Voloch, Proc. LMS 52, 1986, §1): the p-adic criterion
 and the Weierstrass weight of each family's place classes.
 
-All bound comparisons use exact rational arithmetic; the floor-adjacent
-corner cases are exactly where bugs would hide.
+Every bound comparison is an exact integer comparison g * den <= num on
+the unreduced terms of the genus bound; the floor-adjacent corner cases
+are exactly where bugs would hide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import curves, numsg
@@ -18,37 +17,37 @@ from .curves import CurveModel, PlaceCensus
 from .numsg import NumericalSemigroup, OrderSequence
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    """A named pass/fail check with its witnesses."""
+
+    def __init__(self, name: str, passed: bool, details: dict | None = None):
+        self.name, self.passed = name, passed
+        self.details = {} if details is None else details
 
 
-@dataclass
 class VerificationReport:
     """Per-curve bundle of genus, census, semigroups, order sequences,
-    deduced generic orders, and named pass/fail checks."""
+    deduced generic orders, and named pass/fail checks; every field but
+    the first four starts empty."""
 
-    curve: dict
-    field_spec: dict
-    q: int
-    p: int
-    genus: dict
-    census: dict
-    semigroups: list
-    frobenius_dimension: dict
-    order_sequences: dict
-    epsilon_sequence: list | None
-    checks: list[CheckResult]
-    assumptions: list[str]
+    def __init__(self, curve: dict, field_spec: dict, q: int, p: int):
+        self.curve, self.field_spec, self.q, self.p = curve, field_spec, q, p
+        self.genus: dict = {}
+        self.census: dict = {}
+        self.semigroups: list = []
+        self.frobenius_dimension: dict = {}
+        self.order_sequences: dict = {}
+        self.epsilon_sequence: list | None = None
+        self.checks: list[CheckResult] = []
+        self.assumptions: list[str] = []
 
     @property
     def passing(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, ``field_spec`` as "field"."""
+        """The fields in the order ``__init__`` sets them, ``field_spec``
+        as "field"."""
         d = {"field" if k == "field_spec" else k: v for k, v in vars(self).items()}
         return dict(d, checks=[dict(vars(c)) for c in self.checks],
                     passing=self.passing)
@@ -77,8 +76,10 @@ def castelnuovo_terms(q: int, r: int) -> tuple[int, int]:
     return (2 * q - (r - 1)) ** 2 - (1 - r % 2), 8 * (r - 1)
 
 
-def castelnuovo_bound(q: int, r: int) -> Fraction:
-    """Genus upper bound for a maximal curve of Frobenius dimension r."""
+def castelnuovo_bound(q: int, r: int):
+    """Genus upper bound for a maximal curve of Frobenius dimension r, as
+    a reduced ``fractions.Fraction``."""
+    from fractions import Fraction  # off the import path of every command
     return Fraction(*castelnuovo_terms(q, r))
 
 
@@ -87,14 +88,22 @@ def deduce_frobenius_dimension(q: int, g: int) -> set[int]:
 
     r = 1 never occurs; r = 2 forces the Hermitian genus q(q-1)/2; any
     other r must satisfy the genus bound.  Candidates are capped at
-    q + 1, the degree of the Frobenius linear series.
+    q + 1, the degree of the Frobenius linear series.  The bound strictly
+    decreases on 2 <= r <= q+1 (the numerator drops by at least 2q a
+    step while the denominator grows), so the candidates are 2..R for
+    the largest R that passes, found by bisection.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    candidates = set()
-    for r in range(2, q + 2):
-        if g <= castelnuovo_bound(q, r):
-            candidates.add(r)
+    lo, hi = 1, q + 2  # g <= B(r) for 2 <= r <= lo, g > B(r) for hi <= r <= q+1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        num, den = castelnuovo_terms(q, mid)
+        if g * den <= num:
+            lo = mid
+        else:
+            hi = mid
+    candidates = set(range(2, lo + 1))
     if g != q * (q - 1) // 2:
         candidates.discard(2)
     return candidates
@@ -168,20 +177,11 @@ def _start(curve: CurveModel, g: int, census: PlaceCensus,
     if census_delta:
         census.add(curves.AFFINE_SPLIT, census_delta)
         census.meta["injected_delta"] = census_delta
-    return VerificationReport(
-        curve=curve.to_fragment(),
-        field_spec=curve.field.to_fragment(),
-        q=curve.q,
-        p=curve.p,
-        genus={"formula": g},
-        census=census.to_fragment(),
-        semigroups=[],
-        frobenius_dimension={},
-        order_sequences={},
-        epsilon_sequence=None,
-        checks=[],
-        assumptions=[],
-    )
+    report = VerificationReport(curve.to_fragment(), curve.field.to_fragment(),
+                                curve.q, curve.p)
+    report.genus["formula"] = g
+    report.census = census.to_fragment()
+    return report
 
 
 def _dimension(report: VerificationReport, g: int,
@@ -353,12 +353,14 @@ def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     })
 
     # with r = 3 the non-gaps up to q+1 are exactly 0 < m_1 < q < q+1,
-    # and j_2 = q+1-m_1
-    j2 = q + 1 - known[1]
-    report.order_sequences["distinguished"] = [0, 1, j2, q + 1]
+    # and j_2 = q+1-m_1; a scan that certifies no m_1 leaves j_2 unknown
+    j2 = q + 1 - known[1] if len(known) > 1 else None
     report.checks.append(CheckResult(
         "j2-at-distinguished-place", r == 3 and len(known) == 4 and j2 == 3,
         {"known_nongaps": known, "j2": j2}))
+    if j2 is None:  # no known orders to eliminate the generic ones with
+        return report
+    report.order_sequences["distinguished"] = [0, 1, j2, q + 1]
 
     ramified = census.meta["fully_ramified_places"]
     classes = {"ramified": (ramified, (0, 1, j2, q + 1)),

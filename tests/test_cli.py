@@ -1,6 +1,10 @@
 """CLI contract: exit codes, JSON schema, round-tripping."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,23 @@ class TestFaultsFailChecks:
         j2 = checks["j2-at-distinguished-place"]
         assert not j2["passed"] and j2["details"]["known_nongaps"] == [0, 5, 6]
 
+    def test_fk_scan_certifies_no_nongap_up_to_q_plus_1(self, capsys, monkeypatch):
+        real = curves.weierstrass_nongaps_from_monomials
+
+        def lossy(table, target, ranges, q):
+            scan = real(table, target, ranges, q)
+            return dict(scan, nongaps=[n for n in scan["nongaps"]
+                                       if n == 0 or n > q + 1])
+
+        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials", lossy)
+        code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
+        assert code == 1
+        j2 = checks["j2-at-distinguished-place"]
+        assert not j2["passed"]
+        assert j2["details"] == {"known_nongaps": [0], "j2": None}
+        code, out, err = run_capture(["verify", "fk", "--q", "5"], capsys)
+        assert code == 1 and "result: FAIL" in out and err == ""
+
     def test_fk_genus_formula_disagrees_with_riemann_hurwitz(self, capsys,
                                                               monkeypatch):
         real = curves.genus_fk
@@ -217,9 +238,25 @@ class TestQueryCommands:
         doc = json.loads(out)
         assert doc["bound"] == {"numerator": 4, "denominator": 1}
 
+    @pytest.mark.parametrize("q, r, num, den", [(11, 4, 15, 1), (4, 3, 9, 4)])
+    def test_bound_json_is_reduced(self, capsys, q, r, num, den):
+        _, out, _ = run_capture(
+            ["bound", "--q", str(q), "--r", str(r), "--format", "json"], capsys)
+        assert json.loads(out)["bound"] == {"numerator": num, "denominator": den}
+
     def test_deduce_dim(self, capsys):
         code, out, _ = run_capture(["deduce-dim", "--q", "11", "--g", "19"], capsys)
         assert code == 0
         assert "[3]" in out and "inconclusive" not in out
         _, out, _ = run_capture(["deduce-dim", "--q", "27", "--g", "99"], capsys)
         assert "inconclusive" in out
+
+
+def test_startup_imports_no_dataclasses_or_fractions():
+    # every command pays for what `import maxcurves.cli` loads
+    probe = ("import maxcurves.cli, sys; print(sorted(m for m in "
+             "('dataclasses', 'inspect', 'fractions') if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxcurves import cli, curves, verify
+from maxcurves import cli, curves, gf, verify
 from maxcurves.curves import PlaceCensus
 
 
@@ -54,7 +54,7 @@ class TestCastelnuovoBound:
 
     def test_monotone_in_r(self):
         for q in range(3, 65):
-            for r in range(2, min(q, 10)):
+            for r in range(2, q + 1):  # the bisection in deduce-dim relies on it
                 assert (verify.castelnuovo_bound(q, r)
                         > verify.castelnuovo_bound(q, r + 1))
 
@@ -82,6 +82,62 @@ class TestDeduceDimension:
     def test_gk_bound_alone_is_inconclusive(self):
         # q=27, g=99 passes both the r=3 and r=4 bounds
         assert verify.deduce_frobenius_dimension(27, 99) == {3, 4}
+
+
+def _is_prime_power(q):
+    try:
+        gf.prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+PRIME_POWERS = [q for q in range(2, 4097) if _is_prime_power(q)]
+
+
+def scan_dimensions(q, genera):
+    """The O(q) reference, per genus g: every r in 2..q+1 whose bound, as
+    a Fraction, is at least g, keeping r = 2 only at the Hermitian genus."""
+    bounds = [(r, verify.castelnuovo_bound(q, r)) for r in range(2, q + 2)]
+    hermitian = q * (q - 1) // 2
+    return {g: {r for r, b in bounds if g <= b and (r > 2 or g == hermitian)}
+            for g in genera}
+
+
+def boundary_genera(q, r):
+    """floor(B(r)) and floor(B(r)) + 1, the genera where r drops out."""
+    num, den = verify.castelnuovo_terms(q, r)
+    return num // den, num // den + 1
+
+
+def assert_matches_scan(q, genera):
+    want = scan_dimensions(q, genera)
+    assert {g: verify.deduce_frobenius_dimension(q, g) for g in genera} == want
+
+
+class TestDeduceDimensionBisection:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64])
+    def test_every_r_boundary_matches_scan(self, q):
+        hermitian = q * (q - 1) // 2
+        genera = {0, hermitian, hermitian + 1}
+        for r in range(2, q + 2):
+            genera.update(boundary_genera(q, r))
+        assert_matches_scan(q, genera)
+
+    @given(st.sampled_from(PRIME_POWERS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scan(self, q, data):
+        r = data.draw(st.integers(2, q), label="r")
+        hermitian = q * (q - 1) // 2
+        genera = {hermitian, hermitian + 1, data.draw(st.integers(0, hermitian + 2))}
+        for s in (r, r + 1):  # one of each parity
+            genera.update(boundary_genera(q, s))
+        assert_matches_scan(q, genera)
+
+    def test_hermitian_genus_edges_at_4096(self):
+        hermitian = 4096 * 4095 // 2
+        assert verify.deduce_frobenius_dimension(4096, hermitian) == {2}
+        assert verify.deduce_frobenius_dimension(4096, hermitian + 1) == set()
 
 
 class TestPadic:
