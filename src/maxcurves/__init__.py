@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .gf import (FieldElement, FieldSpec, enumerate_field, is_in_subfield,
                  make_field, nth_roots, root_logs)
-from .numsg import (NumericalSemigroup, OrderSequence, contains,
+from .numsg import (NumericalSemigroup, contains,
                     frobenius_dimension_from_semigroup, nongaps_upto,
                     rational_point_orders, semigroup_from_generators)
 from .curves import (CurveModel, Place, PlaceCensus,

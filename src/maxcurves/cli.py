@@ -137,8 +137,8 @@ def _cmd_semigroup(args) -> int:
         lines = [f"generators: {list(S.generators)}",
                  f"genus (gap count): {S.genus}",
                  f"conductor: {S.conductor}"]
-        if S.genus <= 64:
-            lines.append(f"gaps: {list(S.gaps)}")
+        if "gaps" in frag:
+            lines.append(f"gaps: {frag['gaps']}")
         else:
             lines.append(f"gaps: ({S.genus} entries, elided)")
         if args.upto is not None:

@@ -21,8 +21,7 @@ from collections import namedtuple
 from itertools import product
 from math import gcd
 
-from .gf import (FieldElement, FieldSpec, make_field, nth_roots, prime_power,
-                 root_logs)
+from .gf import FieldSpec, make_field, nth_roots, prime_power, root_logs
 
 # census class tags
 AFFINE_SPLIT = "affine-split"
@@ -32,10 +31,8 @@ INFINITE = "infinite"
 SAMPLES_PER_CLASS = 3
 
 
-class Place(namedtuple("Place", "id class_tag e")):
-    """A degree-one place record with class tag and ramification index."""
-
-    __slots__ = ()
+# a degree-one place: its id and ramification index
+Place = namedtuple("Place", "id e")
 
 
 class PlaceCensus:
@@ -46,14 +43,14 @@ class PlaceCensus:
         self.samples: dict[str, list[Place]] = {}
         self.meta: dict[str, int] = {}
 
-    def add(self, class_tag: str, n: int = 1, sample: Place | None = None):
-        self.counts[class_tag] = self.counts.get(class_tag, 0) + n
-        if sample is not None and self.wants_sample(class_tag):
-            self.samples.setdefault(class_tag, []).append(sample)
+    def add(self, tag: str, n: int = 1, sample: Place | None = None):
+        self.counts[tag] = self.counts.get(tag, 0) + n
+        if sample is not None and self.wants_sample(tag):
+            self.samples.setdefault(tag, []).append(sample)
 
-    def wants_sample(self, class_tag: str) -> bool:
+    def wants_sample(self, tag: str) -> bool:
         """True while the class keeps fewer than SAMPLES_PER_CLASS samples."""
-        return len(self.samples.get(class_tag, ())) < SAMPLES_PER_CLASS
+        return len(self.samples.get(tag, ())) < SAMPLES_PER_CLASS
 
     @property
     def total(self) -> int:
@@ -74,7 +71,7 @@ class PlaceCensus:
 class CurveModel:
     """A catalog entry: family tag (GK | GSX49 | FK), parameters, base
     field, q (the curve is maximal over F_{q^2}), p, equations and named
-    constants."""
+    constants (field element codes)."""
 
     def __init__(self, family: str, params: dict, field: FieldSpec, q: int,
                  p: int, equations: tuple[str, ...], constants: dict | None = None):
@@ -91,7 +88,7 @@ class CurveModel:
             "equations": list(self.equations),
         }
         if self.constants:
-            frag["constants"] = {k: getattr(v, "code", v) for k, v in self.constants.items()}
+            frag["constants"] = dict(self.constants)
         return frag
 
 
@@ -197,15 +194,16 @@ def fk_curve(q: int) -> CurveModel:
     )
 
 
-def _fk_constant_w(F: FieldSpec, q: int) -> FieldElement:
-    """First element in enumeration order with w^((q+1)/3) = 3: zero is
-    not a solution (p != 3), and among the g^i, taken in exp order, the
-    first solution is the one with the least log."""
+def _fk_constant_w(F: FieldSpec, q: int) -> int:
+    """Code of the first element in enumeration order with
+    w^((q+1)/3) = 3: zero is not a solution (p != 3), and among the g^i,
+    taken in exp order, the first solution is the one with the least
+    log."""
     m3 = (q + 1) // 3
     logs = root_logs(F._log[3 % F.p], m3, F.order - 1)
     if not logs:
         raise ValueError(f"no w with w^{m3} = 3 in F_{F.order}")
-    return F.element(F._exp[logs[0]])
+    return F._exp[logs[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +274,15 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
             if roots:
                 split_fibers += 1
                 census.add(AFFINE_SPLIT, len(roots),
-                           Place(f"gk:x={x0},y={y0},z={_least_root(F, lu, d)}",
-                                 AFFINE_SPLIT, 1)
+                           Place(f"gk:x={x0},y={y0},z={_least_root(F, lu, d)}", 1)
                            if census.wants_sample(AFFINE_SPLIT) else None)
             else:
                 inert_fibers += 1
         else:
             census.add(ZERO_OF_COVER, 1,
-                       Place(f"gk:x={x0},y={y0},z=0", ZERO_OF_COVER, d)
+                       Place(f"gk:x={x0},y={y0},z=0", d)
                        if census.wants_sample(ZERO_OF_COVER) else None)
-    census.add(INFINITE, 1, Place("gk:P0", INFINITE, d))
+    census.add(INFINITE, 1, Place("gk:P0", d))
     census.meta["split_fibers"] = split_fibers
     census.meta["inert_fibers"] = inert_fibers
     return census
@@ -311,12 +308,11 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
         if roots:
             sixteenth_power_fibers += 1
             census.add(AFFINE_SPLIT, len(roots),
-                       Place(f"gsx49:t={t0},z={_least_root(F, lc, 16)}",
-                             AFFINE_SPLIT, 1)
+                       Place(f"gsx49:t={t0},z={_least_root(F, lc, 16)}", 1)
                        if census.wants_sample(AFFINE_SPLIT) else None)
-    census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", ZERO_OF_COVER, 1))   # over t=0
-    census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", ZERO_OF_COVER, 1))   # over t=-1
-    census.add(INFINITE, 1, Place("gsx49:Pinf", INFINITE, 1))
+    census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", 1))   # over t=0
+    census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", 1))   # over t=-1
+    census.add(INFINITE, 1, Place("gsx49:Pinf", 1))
     census.meta["sixteenth_power_fibers"] = sixteenth_power_fibers
     return census
 
@@ -340,14 +336,14 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     m3 = (q + 1) // 3
     N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
     h = log[F.p - 1]
-    lw = log[curve.constants["w"].code]
+    lw = log[curve.constants["w"]]
     l3 = log[3 % F.p]
     census = PlaceCensus()
     violations = 0
 
     def add_ramified(a: int, b: int):
         census.add(ZERO_OF_COVER, 1,
-                   Place(f"fk:a={a},b={b}", ZERO_OF_COVER, 3)
+                   Place(f"fk:a={a},b={b}", 3)
                    if census.wants_sample(ZERO_OF_COVER) else None)
 
     for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
@@ -364,10 +360,9 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
                 violations += 1
                 continue
             census.add(AFFINE_SPLIT, 3,
-                       Place(f"fk:a={a},b={exp[j]},z={_least_root(F, lw + lab, 3)}",
-                             AFFINE_SPLIT, 1)
+                       Place(f"fk:a={a},b={exp[j]},z={_least_root(F, lw + lab, 3)}", 1)
                        if census.wants_sample(AFFINE_SPLIT) else None)
-    census.add(INFINITE, m3, Place("fk:Pinf,1", INFINITE, 3))
+    census.add(INFINITE, m3, Place("fk:Pinf,1", 3))
     census.meta["condition5_violations"] = violations
     ramified = census.counts.get(ZERO_OF_COVER, 0) + census.counts.get(INFINITE, 0)
     census.meta["fully_ramified_places"] = ramified

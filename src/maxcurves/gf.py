@@ -24,17 +24,6 @@ from math import gcd
 FIELD_CAP = 5500
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (small n only)."""
     if n < 1:
@@ -242,42 +231,6 @@ class FieldSpec:
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
-    # -- table-backed element arithmetic
-
-    def add_codes(self, a: int, b: int) -> int:
-        p, code, mult = self.p, 0, 1
-        for _ in range(self.k):
-            code += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return code
-
-    def neg_code(self, a: int) -> int:
-        p, code, mult = self.p, 0, 1
-        for _ in range(self.k):
-            code += (-a % p) * mult
-            a //= p
-            mult *= p
-        return code
-
-    def mul_codes(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero field element")
-        return self._exp[-self._log[a] % (self.order - 1)]
-
-    def pow_code(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
     # -- element construction
 
     def element(self, code: int) -> FieldElement:
@@ -316,7 +269,11 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of a :class:`FieldSpec`, identified by its canonical code."""
+    """An element of a :class:`FieldSpec`, identified by its canonical code.
+
+    Products, powers and inverses are log/exp table lookups; sums are
+    digitwise mod p.
+    """
 
     __slots__ = ("field", "code")
 
@@ -337,12 +294,20 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.add_codes(self.code, o.code))
+        # no table: the reference the one-plus table is tested against
+        p, a, b = self.field.p, self.code, o.code
+        code, mult = 0, 1
+        for _ in range(self.field.k):
+            code += (a + b) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return FieldElement(self.field, code)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
+        return self * -1
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -357,7 +322,10 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_codes(self.code, o.code))
+        F = self.field
+        if self.code == 0 or o.code == 0:
+            return F.zero
+        return FieldElement(F, F._exp[(F._log[self.code] + F._log[o.code]) % (F.order - 1)])
 
     __rmul__ = __mul__
 
@@ -368,10 +336,15 @@ class FieldElement:
         return self * o.inverse()
 
     def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_code(self.code, e))
+        F = self.field
+        if self.code == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return F.one if e == 0 else F.zero
+        return FieldElement(F, F._exp[F._log[self.code] * e % (F.order - 1)])
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_code(self.code))
+        return self ** -1
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -404,7 +377,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     degree k over F_p (constant coefficient compared first); the
     generator is the smallest code of full multiplicative order.
     """
-    if not is_prime(p):
+    if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")

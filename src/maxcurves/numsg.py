@@ -108,40 +108,21 @@ def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
     return [n for n in range(B + 1) if n >= apery[n % m]]
 
 
-class OrderSequence:
-    """A strictly increasing order sequence 0 < 1 < ... (the j-orders at
-    a place or the generic orders of a linear series)."""
-
-    def __init__(self, orders: tuple[int, ...]):
-        self.orders = o = orders
-        if any(b <= a for a, b in zip(o, o[1:])):
-            raise ValueError(f"order sequence not strictly increasing: {o}")
-        if o and o[0] != 0:
-            raise ValueError("order sequence must start at 0")
-        if len(o) >= 2 and o[1] != 1:
-            raise ValueError("second order must be 1")
-
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __len__(self):
-        return len(self.orders)
-
-
 def frobenius_dimension_from_semigroup(S: NumericalSemigroup, q: int) -> int:
     """Dimension r of the degree-(q+1) linear series read off from H(P):
     one less than the length of the order sequence at P."""
     return len(rational_point_orders(S, q)) - 1
 
 
-def rational_point_orders(S: NumericalSemigroup, q: int) -> OrderSequence:
+def rational_point_orders(S: NumericalSemigroup, q: int) -> tuple[int, ...]:
     """Order sequence at a rational place from its Weierstrass semigroup:
     the non-gaps of a maximal curve's rational place in [0, q+1] are
     exactly m_0 < ... < m_r with m_{r-1} = q and m_r = q+1, and the
-    orders are 0 < 1 < q+1-m_{r-2} < ... < q+1-m_1 < q+1."""
+    orders are 0 < 1 < q+1-m_{r-2} < ... < q+1-m_1 < q+1, a strictly
+    increasing tuple by construction."""
     if not (contains(S, q) and contains(S, q + 1)):
         raise ValueError(
             f"q={q} and q+1 must be non-gaps (semigroup cannot come from "
             f"a maximal curve over F_q^2)")
     m = nongaps_upto(S, q + 1)
-    return OrderSequence((0, 1, *(q + 1 - n for n in reversed(m[1:-2])), q + 1))
+    return (0, 1, *(q + 1 - n for n in reversed(m[1:-2])), q + 1)

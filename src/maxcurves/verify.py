@@ -14,7 +14,7 @@ from math import comb
 
 from . import curves, numsg
 from .curves import CurveModel, PlaceCensus
-from .numsg import NumericalSemigroup, OrderSequence
+from .numsg import NumericalSemigroup
 
 
 class CheckResult:
@@ -253,17 +253,17 @@ def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     ram = numsg.rational_point_orders(S, q)
     report.order_sequences["ramified"] = list(ram)
     report.checks.append(CheckResult(
-        "ramified-orders", ram.orders == (0, 1, d, q + 1),
+        "ramified-orders", ram == (0, 1, d, q + 1),
         {"computed": list(ram), "expected": [0, 1, d, q + 1]}))
 
     # unramified class: the transitivity argument pins a single shared
     # sequence; it is consumed as given, not recomputed
-    unram = OrderSequence((0, 1, qbar, q + 1))
+    unram = (0, 1, qbar, q + 1)
     report.order_sequences["unramified"] = list(unram)
 
     n = census.counts
-    classes = {"ramified": (n[curves.ZERO_OF_COVER] + n[curves.INFINITE], ram.orders),
-               "unramified": (n[curves.AFFINE_SPLIT], unram.orders)}
+    classes = {"ramified": (n[curves.ZERO_OF_COVER] + n[curves.INFINITE], ram),
+               "unramified": (n[curves.AFFINE_SPLIT], unram)}
     _finish_epsilon(report, classes, r, (0, 1, qbar, q))
     return report
 
@@ -305,10 +305,10 @@ def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     report.order_sequences["Pinf"] = list(orders)
     floor_form = q + 1 - (2 * (q + 1)) // 3
     report.checks.append(CheckResult(
-        "j2-at-Pinf", orders.orders == (0, 1, 3, 8) and orders.orders[2] == floor_form,
+        "j2-at-Pinf", orders == (0, 1, 3, 8) and orders[2] == floor_form,
         {"orders": list(orders), "floor_form": floor_form}))
 
-    classes = {"Pinf": (1, orders.orders), "other": (census.total - 1, None)}
+    classes = {"Pinf": (1, orders), "other": (census.total - 1, None)}
     _finish_epsilon(report, classes, r, (0, 1, 2, q))
     return report
 

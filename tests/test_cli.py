@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import cli, curves
+from maxcurves import cli, curves, numsg
 
 
 def run_capture(argv, capsys):
@@ -221,6 +221,15 @@ class TestQueryCommands:
             ["semigroup", "--gens", "5,7,8", "--upto", "8"], capsys)
         assert code == 0
         assert "[0, 5, 7, 8]" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--upto", "8"]])
+    def test_semigroup_text_builds_the_gap_list_once(self, capsys, monkeypatch, extra):
+        gaps, calls = numsg.NumericalSemigroup.gaps, []
+        monkeypatch.setattr(numsg.NumericalSemigroup, "gaps", property(
+            lambda S: calls.append(S) or gaps.fget(S)))
+        code, out, _ = run_capture(["semigroup", "--gens", "5,7,8", *extra], capsys)
+        assert code == 0 and "gaps: [1, 2, 3, 4, 6, 9, 11]" in out
+        assert len(calls) == 1
 
     def test_orders(self, capsys):
         code, out, _ = run_capture(["orders", "--gens", "5,7,8", "--q", "7"], capsys)

@@ -39,6 +39,15 @@ class TestMakeField:
         with pytest.raises(ValueError):
             gf.make_field(2, 14)
 
+    @pytest.mark.parametrize("p,k", [
+        (0, 1), (1, 1), (4, 1), (6, 2), (9, 1),  # p not prime
+        (7, 0),                                  # degree not positive
+        (2, 13), (5503, 1),                      # p^k above FIELD_CAP
+    ])
+    def test_rejects_bad_input(self, p, k):
+        with pytest.raises(ValueError):
+            gf.make_field(p, k)
+
     def test_cap_admits_4096(self):
         assert gf.FIELD_CAP >= 4096
 
@@ -95,6 +104,10 @@ class TestArithmetic:
     def test_additive_inverse(self, f49):
         for a in gf.enumerate_field(f49):
             assert (a + (-a)).is_zero()
+
+    def test_negation_in_characteristic_two(self):
+        F = gf.make_field(2, 6)
+        assert all(-a == a for a in gf.enumerate_field(F))
 
     def test_lagrange(self, f49):
         for a in gf.enumerate_field(f49):
@@ -199,7 +212,7 @@ class TestLogTables:
         N = F.order - 1
         assert len(F._one_plus) == N
         for i, c in enumerate(F._exp):
-            assert F._one_plus[i] == F._log[F.add_codes(c, 1)]
+            assert F._one_plus[i] == F._log[(F.element(c) + 1).code]
         # -1 is g^(N/2) for odd p and 1 = g^0 for p = 2
         assert F._log[p - 1] == (N // 2 if p > 2 else 0)
 

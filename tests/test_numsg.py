@@ -161,11 +161,11 @@ class TestOrderSequences:
 
     def test_rational_point_orders_examples(self):
         assert numsg.rational_point_orders(
-            numsg.semigroup_from_generators({21, 27, 28}), 27).orders == (0, 1, 7, 28)
+            numsg.semigroup_from_generators({21, 27, 28}), 27) == (0, 1, 7, 28)
         assert numsg.rational_point_orders(
-            numsg.semigroup_from_generators({5, 7, 8}), 7).orders == (0, 1, 3, 8)
+            numsg.semigroup_from_generators({5, 7, 8}), 7) == (0, 1, 3, 8)
         assert numsg.rational_point_orders(
-            numsg.semigroup_from_generators({3, 5}), 5).orders == (0, 1, 3, 6)
+            numsg.semigroup_from_generators({3, 5}), 5) == (0, 1, 3, 6)
 
     @pytest.mark.parametrize("gens,q", [((5, 7, 8), 7), ((21, 27, 28), 27),
                                         ((4, 5), 4), ((3, 5), 5), ((6, 8, 9), 8)])
@@ -173,19 +173,8 @@ class TestOrderSequences:
         S = numsg.semigroup_from_generators(gens)
         seq = numsg.rational_point_orders(S, q)
         r = numsg.frobenius_dimension_from_semigroup(S, q)
-        assert seq.orders[0] == 0 and seq.orders[1] == 1
-        assert seq.orders[-1] == q + 1
+        assert seq[0] == 0 and seq[1] == 1
+        assert seq[-1] == q + 1
         assert len(seq) == r + 1
-        assert all(b > a for a, b in zip(seq.orders, seq.orders[1:]))
+        assert all(b > a for a, b in zip(seq, seq[1:]))
 
-
-class TestOrderSequenceType:
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            numsg.OrderSequence((0, 1, 1, 5))
-
-    def test_rejects_bad_start(self):
-        with pytest.raises(ValueError):
-            numsg.OrderSequence((1, 2, 3))
-        with pytest.raises(ValueError):
-            numsg.OrderSequence((0, 2, 3))
