@@ -27,11 +27,18 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 
+#: Largest --q the query commands accept; factoring it by trial division
+#: takes about 2^20 steps.
+QUERY_Q_CAP = 2 ** 40
+
 
 def _prime_power_arg(text: str) -> int:
-    """argparse type of the query commands' --q: a prime power."""
+    """argparse type of the query commands' --q: a prime power up to
+    QUERY_Q_CAP."""
     try:
         q = int(text)
+        if q > QUERY_Q_CAP:
+            raise argparse.ArgumentTypeError(f"{text} exceeds the --q cap 2^40")
         gf.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text} is not a prime power") from None

@@ -20,8 +20,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 from math import gcd
+from operator import mul
 
-from .gf import FieldSpec, make_field, nth_roots, prime_power, root_logs
+from .gf import FIELD_CAP, FieldSpec, make_field, nth_roots, prime_power, root_logs
 
 # census class tags
 AFFINE_SPLIT = "affine-split"
@@ -149,7 +150,15 @@ def _validate_fk_q(q: int):
 # ---------------------------------------------------------------------------
 # curve constructors
 
+def _check_field_size(base: int, k: int):
+    """Reject a field of base^k elements above FIELD_CAP before
+    anything factors base, which takes sqrt(base) steps."""
+    if base ** k > FIELD_CAP:
+        raise ValueError(f"field size {base}^{k} exceeds cap {FIELD_CAP}")
+
+
 def gk_curve(qbar: int) -> CurveModel:
+    _check_field_size(qbar, 6)
     p, n = prime_power(qbar)
     F = make_field(p, 6 * n)  # F_{qbar^6} = F_{q^2} with q = qbar^3
     q = qbar ** 3
@@ -178,6 +187,7 @@ def gsx49_curve() -> CurveModel:
 
 
 def fk_curve(q: int) -> CurveModel:
+    _check_field_size(q, 2)
     _validate_fk_q(q)
     p, n = prime_power(q)
     F = make_field(p, 2 * n)
@@ -422,7 +432,7 @@ def _rows(table: PrincipalDivisorTable, symbols) -> dict[str, tuple[int, ...]]:
 
 def _valuation(row: tuple[int, ...], exponents) -> int:
     """Valuation of a monomial at a place, from the place's row."""
-    return sum(v * e for v, e in zip(row, exponents))
+    return sum(map(mul, row, exponents))
 
 
 def divisor_of_monomial(table: PrincipalDivisorTable,
@@ -447,53 +457,25 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
     A monomial with non-negative valuation at every other place has its
     only pole at the target, so the pole order is a non-gap with that
     monomial as explicit witness; the first monomial in ``product``
-    order over ``ranges`` is kept per pole.  Only those monomials are
-    visited: for each prefix of exponents of all symbols but the last,
-    every distinct row away from the target (two for each built-in
-    table, whatever q is) and the positive-pole condition at the target
-    are linear in the last exponent ``e``, so together they cut the last
-    range down to one interval of ``e``, walked in increasing order.
-    Each range must have step 1.  q and q+1 are always non-gaps at a
-    rational place of a maximal curve and are included with a marker
-    witness.
+    order over ``ranges`` is kept per pole.  q and q+1 are always
+    non-gaps at a rational place of a maximal curve and are included
+    with a marker witness.
 
     Returns {"nongaps": sorted list, "witnesses": {n: exponent map or
     "maximality"}}.
     """
     if target not in table.places:
         raise ValueError(f"target {target!r} does not appear in the table")
-    for sym, r in ranges.items():
-        if r.step != 1:
-            raise ValueError(f"range for {sym!r} has step {r.step}; "
-                             f"the scan needs step 1")
     symbols = list(ranges)
     rows = _rows(table, symbols)
     at_target = rows.pop(target)
-    # each (row, c) stands for row . exponents + c >= 0; the last one is
-    # the pole condition -(at_target . exponents) >= 1
-    conditions = [(row, 0) for row in set(rows.values())]
-    conditions.append((tuple(-v for v in at_target), -1))
+    others = set(rows.values())  # two distinct rows for each built-in table
     witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
-    if symbols:
-        *head, last = symbols
-        t1 = at_target[-1]
-        for prefix in product(*(ranges[s] for s in head)):
-            lo, hi = ranges[last].start, ranges[last].stop - 1
-            for row, c in conditions:
-                # c0 + c1*e >= 0: e >= ceil(-c0/c1), or e <= floor(c0/-c1)
-                c0, c1 = c + _valuation(row, prefix), row[-1]
-                if c1 > 0:
-                    lo = max(lo, -(c0 // c1))
-                elif c1 < 0:
-                    hi = min(hi, c0 // -c1)
-                elif c0 < 0:
-                    hi = lo - 1
-                    break
-            t0 = _valuation(at_target, prefix)
-            for e in range(lo, hi + 1):
-                pole = -(t0 + t1 * e)
-                if pole not in witnesses:
-                    witnesses[pole] = dict(zip(symbols, (*prefix, e)))
+    for exps in product(*ranges.values()):
+        pole = -_valuation(at_target, exps)
+        if (pole > 0 and pole not in witnesses
+                and all(_valuation(row, exps) >= 0 for row in others)):
+            witnesses[pole] = dict(zip(symbols, exps))
     for n in (q, q + 1):
         witnesses.setdefault(n, "maximality")
     return {"nongaps": sorted(witnesses), "witnesses": witnesses}

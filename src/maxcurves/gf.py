@@ -393,8 +393,9 @@ def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> int:
     n = order - 1
     prime_divs = list(factorize(n))
     mod = list(modulus)
-    # the tables are not built yet: powers on coefficient vectors
-    for g in range(1, order):
+    # the tables are not built yet: powers on coefficient vectors.  For
+    # k > 1 the codes below p are F_p, whose orders divide p - 1 < n.
+    for g in range(p if k > 1 else 1, order):
         if all(_poly_powmod(_decode(g, p, k), n // ell, mod, p) != [1]
                for ell in prime_divs):
             return g

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import cli, curves, numsg
+from maxcurves import cli, curves, gf, numsg
 
 
 def run_capture(argv, capsys):
@@ -57,6 +57,25 @@ class TestExitCodes:
         code, out, err = run_capture(argv, capsys)
         assert code == 2 and out == ""
         assert "is not a prime power" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "fk", "--q", "100000000000031"],
+         "field size 100000000000031^2 exceeds cap 5500"),
+        (["verify", "gk", "--qbar", "100000000000031"],
+         "field size 100000000000031^6 exceeds cap 5500"),
+        (["bound", "--q", "100000000000031", "--r", "3"],
+         "exceeds the --q cap 2^40"),
+        (["deduce-dim", "--q", str(cli.QUERY_Q_CAP + 1), "--g", "3"],
+         "exceeds the --q cap 2^40"),
+    ])
+    def test_huge_q_is_rejected_before_factoring(self, capsys, monkeypatch,
+                                                 argv, message):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(gf, "factorize", refuse)
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2 and out == "" and message in err
 
     def test_one_parser_serves_successive_runs(self, capsys):
         cli._build_parser.cache_clear()

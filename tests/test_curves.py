@@ -340,15 +340,6 @@ class TestMonomialScan:
         assert {0, 3, 5, 6} <= set(res["nongaps"])
         assert res["witnesses"][3] == {"x": 1, "y-beta": -1}
 
-    def test_rejects_non_unit_step(self):
-        table = curves.fk_divisor_table(5)
-        with pytest.raises(ValueError, match="'x'"):
-            curves.weierstrass_nongaps_from_monomials(
-                table, "P0_beta", {"x": range(0, 9, 2), "y-beta": range(-4, 1)}, 5)
-        with pytest.raises(ValueError, match="'y-beta'"):
-            curves.weierstrass_nongaps_from_monomials(
-                table, "P0_beta", {"x": range(0, 9), "y-beta": range(1, -4, -1)}, 5)
-
     def test_unknown_target(self):
         table = curves.gsx49_divisor_table()
         with pytest.raises(ValueError):
@@ -369,6 +360,19 @@ class TestMonomialScan:
         assert got["nongaps"] == want["nongaps"]
         assert list(got["witnesses"].items()) == list(want["witnesses"].items())
 
+    @pytest.mark.parametrize("q", [5, 11, 17, 23, 29])
+    def test_fk_capped_box_keeps_the_nongaps_up_to_q_plus_1(self, q):
+        table, g = curves.fk_divisor_table(q), curves.genus_fk(q)
+
+        def known(ranges):
+            scan = curves.weierstrass_nongaps_from_monomials(
+                table, "P0_beta", ranges, q)
+            return [n for n in scan["nongaps"] if n <= q + 1]
+
+        capped = known({"x": range(q + 2), "y-beta": range(-(q + 1), 1)})
+        assert capped == known({"x": range(2 * g + 1), "y-beta": range(-g, 1)})
+        assert capped == [0, q - 2, q, q + 1]
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_reference_scan_on_random_tables(self, data):
@@ -387,7 +391,9 @@ class TestMonomialScan:
         ranges = {}
         for sym in named:
             start = data.draw(st.integers(-5, 3))
-            ranges[sym] = range(start, start + data.draw(st.integers(0, 6)))
+            step = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            ranges[sym] = range(start, start + step * data.draw(st.integers(0, 6)),
+                                step)
         q = data.draw(st.integers(1, 9))
         got = curves.weierstrass_nongaps_from_monomials(table, target, ranges, q)
         want = reference_scan(table, target, ranges, q)

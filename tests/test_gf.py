@@ -280,6 +280,13 @@ class TestTableBuild:
         with pytest.raises(ValueError, match="not a primitive element"):
             gf.FieldSpec(p, k, F.modulus, code)
 
+    @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (7, 2), (2, 6), (11, 2)])
+    def test_generator_is_the_smallest_primitive_code(self, p, k):
+        F = gf.make_field(p, k)
+        for code in range(1, F.generator):
+            with pytest.raises(ValueError, match="not a primitive element"):
+                gf.FieldSpec(p, k, F.modulus, code)
+
 
 class TestSubfield:
     def test_zero_always_in_subfield(self, f49):
