@@ -27,9 +27,9 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 
-#: Largest --q the query commands accept; factoring it by trial division
-#: takes about 2^20 steps.
-QUERY_Q_CAP = 2 ** 40
+#: Largest --q the query commands accept: `deduce-dim` answers with and
+#: `orders` sieves about q entries.
+QUERY_Q_CAP = 2 ** 20
 
 
 def _prime_power_arg(text: str) -> int:
@@ -38,7 +38,8 @@ def _prime_power_arg(text: str) -> int:
     try:
         q = int(text)
         if q > QUERY_Q_CAP:
-            raise argparse.ArgumentTypeError(f"{text} exceeds the --q cap 2^40")
+            raise argparse.ArgumentTypeError(
+                f"{text} exceeds the --q cap 2^{QUERY_Q_CAP.bit_length() - 1}")
         gf.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text} is not a prime power") from None

@@ -46,12 +46,10 @@ class PlaceCensus:
 
     def add(self, tag: str, n: int = 1, sample: Place | None = None):
         self.counts[tag] = self.counts.get(tag, 0) + n
-        if sample is not None and self.wants_sample(tag):
-            self.samples.setdefault(tag, []).append(sample)
-
-    def wants_sample(self, tag: str) -> bool:
-        """True while the class keeps fewer than SAMPLES_PER_CLASS samples."""
-        return len(self.samples.get(tag, ())) < SAMPLES_PER_CLASS
+        if sample is not None:
+            kept = self.samples.setdefault(tag, [])
+            if len(kept) < SAMPLES_PER_CLASS:
+                kept.append(sample)
 
     @property
     def total(self) -> int:
@@ -219,11 +217,6 @@ def _fk_constant_w(F: FieldSpec, q: int) -> int:
 # ---------------------------------------------------------------------------
 # place enumeration
 
-def _least_root(F: FieldSpec, la: int, n: int) -> int:
-    """Smallest code x with x^n = g^la; only the kept samples ask."""
-    return nth_roots(F.element(F._exp[la % (F.order - 1)]), n)[0].code
-
-
 def _hermitian_codes(qbar: int, F: FieldSpec) -> list[tuple[int, int]]:
     """Codes (x0, y0) of every affine point of y^(qbar+1) = x^qbar + x,
     x0 in enumeration order (zero, then exp order), y0 by code."""
@@ -247,6 +240,40 @@ def hermitian_affine_points(qbar: int, F: FieldSpec):
     return [(F.element(x), F.element(y)) for x, y in _hermitian_codes(qbar, F)]
 
 
+def _kummer_census(F: FieldSpec, d: int, fibers, split_id: str,
+                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
+    """Count the places of z^d = f over the affine base points ``fibers``
+    yields as (coords, lf) in walk order, lf = log f there.
+
+    lf is None where f has a zero or a pole: a fully ramified fiber, one
+    place with e = d.  Since d divides N = |F*|, any other fiber splits
+    into d places when f has d d-th roots there and is inert otherwise.
+    The first SAMPLES_PER_CLASS places of a class are kept, with ids
+    formatted from coords (and, if split, the least z).  Returns the
+    census and the split and inert fiber counts.
+    """
+    N = F.order - 1
+    kept = {ZERO_OF_COVER: [], AFFINE_SPLIT: []}
+    ramified = split = inert = 0
+    for coords, lf in fibers:
+        if lf is None:
+            if ramified < SAMPLES_PER_CLASS:
+                kept[ZERO_OF_COVER].append(Place(ramified_id.format(*coords), d))
+            ramified += 1
+        elif len(root_logs(lf, d, N)) == d:
+            if split < SAMPLES_PER_CLASS:
+                z = nth_roots(F.element(F._exp[lf]), d)[0].code
+                kept[AFFINE_SPLIT].append(Place(split_id.format(*coords, z), 1))
+            split += 1
+        else:
+            inert += 1
+    census = PlaceCensus()
+    for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
+        if n:
+            census.counts[tag], census.samples[tag] = n, kept[tag]
+    return census, split, inert
+
+
 def count_gk_places(curve: CurveModel) -> PlaceCensus:
     """Classify every degree-one place of the GK curve over F_{qbar^6}.
 
@@ -260,41 +287,30 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
       again a simple zero of u, fully ramified, 1 place.
 
     On logs (h = log(-1), y0 != 0 forces x0 != 0): den = 1 + x0^(qbar-1)
-    and num = -(1 + (-1) x0^(qbar^2-1)) are one-plus lookups, and the
-    fiber splits iff gcd(d, N) divides log u0.
+    and num = -(1 + (-1) x0^(qbar^2-1)) are one-plus lookups.
 
     The census only counts; the report judges it against Hasse-Weil.
     """
     qbar = curve.params["qbar"]
     F = curve.field
-    d = curve.params["d"]
-    N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
+    N, log, one_plus = F.order - 1, F._log, F._one_plus
     h = log[F.p - 1]
-    census = PlaceCensus()
-    split_fibers = inert_fibers = 0
-    for x0, y0 in _hermitian_codes(qbar, F):
-        l_den = l_num = -1
-        if y0:
-            lx = log[x0]
-            l_den = one_plus[lx * (qbar - 1) % N]
-            l_num = one_plus[(lx * (qbar * qbar - 1) + h) % N]
-        if l_den >= 0 and l_num >= 0:
-            lu = (log[y0] + h + l_num - l_den) % N
-            roots = root_logs(lu, d, N)
-            if roots:
-                split_fibers += 1
-                census.add(AFFINE_SPLIT, len(roots),
-                           Place(f"gk:x={x0},y={y0},z={_least_root(F, lu, d)}", 1)
-                           if census.wants_sample(AFFINE_SPLIT) else None)
-            else:
-                inert_fibers += 1
-        else:
-            census.add(ZERO_OF_COVER, 1,
-                       Place(f"gk:x={x0},y={y0},z=0", d)
-                       if census.wants_sample(ZERO_OF_COVER) else None)
-    census.add(INFINITE, 1, Place("gk:P0", d))
-    census.meta["split_fibers"] = split_fibers
-    census.meta["inert_fibers"] = inert_fibers
+
+    def fibers():
+        for x0, y0 in _hermitian_codes(qbar, F):
+            lu = None
+            if y0:
+                lx = log[x0]
+                l_den = one_plus[lx * (qbar - 1) % N]
+                l_num = one_plus[(lx * (qbar * qbar - 1) + h) % N]
+                if l_den >= 0 and l_num >= 0:
+                    lu = (log[y0] + h + l_num - l_den) % N
+            yield (x0, y0), lu
+
+    census, split, inert = _kummer_census(
+        F, curve.params["d"], fibers(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
+    census.add(INFINITE, 1, Place("gk:P0", curve.params["d"]))
+    census.meta.update(split_fibers=split, inert_fibers=inert)
     return census
 
 
@@ -308,74 +324,54 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     """
     F = curve.field
     N, one_plus = F.order - 1, F._one_plus
-    census = PlaceCensus()
-    sixteenth_power_fibers = 0
-    for i, t0 in enumerate(F._exp):
-        if one_plus[i] < 0:  # t0 = -1
-            continue
-        lc = (i + 6 * one_plus[i]) % N  # c = t0 (t0 + 1)^6
-        roots = root_logs(lc, 16, N)
-        if roots:
-            sixteenth_power_fibers += 1
-            census.add(AFFINE_SPLIT, len(roots),
-                       Place(f"gsx49:t={t0},z={_least_root(F, lc, 16)}", 1)
-                       if census.wants_sample(AFFINE_SPLIT) else None)
+    fibers = (((t0,), (i + 6 * one_plus[i]) % N)  # c = t0 (t0 + 1)^6
+              for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
+    census, split, _ = _kummer_census(F, 16, fibers, "gsx49:t={},z={}", "")
     census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", 1))   # over t=0
     census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", 1))   # over t=-1
     census.add(INFINITE, 1, Place("gsx49:Pinf", 1))
-    census.meta["sixteenth_power_fibers"] = sixteenth_power_fibers
+    census.meta["sixteenth_power_fibers"] = split
     return census
 
 
 def count_fk_places(curve: CurveModel) -> PlaceCensus:
     """Census of the degree-3 Kummer cover over F_{q^2}.
 
-    Affine base points (a, b) with a^((q+1)/3) + b^((q+1)/3) + 1 = 0 and
+    Affine base points (a, b) with a^m3 + b^m3 + 1 = 0, m3 = (q+1)/3, and
     ab != 0 must each carry exactly 3 rational places above: condition
-    (5) puts 3(ab)^((q+1)/3) in F_q, so the cubic T^3 - w a b splits.  A
-    point where either fails is counted in meta["condition5_violations"]
-    and contributes no places; the report judges the count.  Zeros and
-    poles of xy are fully ramified and give q+1 places in total.
+    (5) puts 3(ab)^m3 in F_q, so the cubic T^3 - w a b splits.  A point
+    where it does not is counted in meta["condition5_violations"] and
+    contributes no places; the report judges the count.  Zeros and poles
+    of xy are fully ramified and give q+1 places in total.
 
-    On logs (h = log(-1)): b^((q+1)/3) = -(1 + a^((q+1)/3)) is a one-plus
-    lookup, the cubic splits iff 3 divides log(wab), and an element of
-    F_{q^2} lies in F_q iff q+1 divides its log.
+    On logs (h = log(-1)): b^m3 = -(1 + a^m3) is a one-plus lookup, and
+    the cubic splits iff 3 divides log(wab).  That one test is condition
+    (5): w^m3 = 3 gives log 3 = m3 log w (mod N), so log 3(ab)^m3 =
+    m3 log(wab) (mod N), and since q+1 = 3 m3 divides N, q+1 divides it
+    (the test for F_q) exactly when 3 divides log(wab).
     """
-    q = curve.q
-    F = curve.field
-    m3 = (q + 1) // 3
+    F, m3 = curve.field, (curve.q + 1) // 3
     N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
     h = log[F.p - 1]
     lw = log[curve.constants["w"]]
-    l3 = log[3 % F.p]
-    census = PlaceCensus()
-    violations = 0
 
-    def add_ramified(a: int, b: int):
-        census.add(ZERO_OF_COVER, 1,
-                   Place(f"fk:a={a},b={b}", 3)
-                   if census.wants_sample(ZERO_OF_COVER) else None)
-
-    for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
-        add_ramified(0, exp[j])
-    for i, a in enumerate(exp):
-        s = one_plus[i * m3 % N]
-        if s < 0:  # b = 0
-            add_ramified(a, 0)
-            continue
-        for j in sorted(root_logs(h + s, m3, N), key=exp.__getitem__):
-            lab = i + j
-            roots = root_logs((lw + lab) % N, 3, N)
-            if len(roots) != 3 or (l3 + m3 * lab) % (q + 1):
-                violations += 1
+    def fibers():
+        for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
+            yield (0, exp[j]), None
+        for i, a in enumerate(exp):
+            s = one_plus[i * m3 % N]
+            if s < 0:  # b = 0
+                yield (a, 0), None
                 continue
-            census.add(AFFINE_SPLIT, 3,
-                       Place(f"fk:a={a},b={exp[j]},z={_least_root(F, lw + lab, 3)}", 1)
-                       if census.wants_sample(AFFINE_SPLIT) else None)
+            for j in sorted(root_logs(h + s, m3, N), key=exp.__getitem__):
+                yield (a, exp[j]), (lw + i + j) % N
+
+    census, _, inert = _kummer_census(F, 3, fibers(), "fk:a={},b={},z={}",
+                                      "fk:a={},b={}")
     census.add(INFINITE, m3, Place("fk:Pinf,1", 3))
-    census.meta["condition5_violations"] = violations
-    ramified = census.counts.get(ZERO_OF_COVER, 0) + census.counts.get(INFINITE, 0)
-    census.meta["fully_ramified_places"] = ramified
+    census.meta["condition5_violations"] = inert
+    census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)
+                                            + census.counts[INFINITE])
     return census
 
 

@@ -344,10 +344,11 @@ def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         {"pole_order": -div.get("P0_beta", 0), "expected": q - 2}))
 
     # x^a (y-beta)^b is effective away from P0_beta iff 0 <= a <= -b, and
-    # then its pole -3a-(q+1)b >= (q-2)(-b); a pole <= q+1 thus puts it
-    # inside this box, which holds every non-gap the report reads
+    # then its pole -3a-(q+1)b >= (q-2)(-b); a pole <= q+1 thus forces
+    # -b <= (q+1)/(q-2) <= 2 (q >= 5), so this box holds every non-gap
+    # the report reads
     scan = curves.weierstrass_nongaps_from_monomials(
-        table, "P0_beta", {"x": range(q + 2), "y-beta": range(-(q + 1), 1)}, q)
+        table, "P0_beta", {"x": range(3), "y-beta": range(-2, 1)}, q)
     known = [n for n in scan["nongaps"] if n <= q + 1]
     report.semigroups.append({
         "generators": known[1:],

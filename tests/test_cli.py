@@ -64,9 +64,11 @@ class TestExitCodes:
         (["verify", "gk", "--qbar", "100000000000031"],
          "field size 100000000000031^6 exceeds cap 5500"),
         (["bound", "--q", "100000000000031", "--r", "3"],
-         "exceeds the --q cap 2^40"),
+         "exceeds the --q cap 2^20"),
         (["deduce-dim", "--q", str(cli.QUERY_Q_CAP + 1), "--g", "3"],
-         "exceeds the --q cap 2^40"),
+         "exceeds the --q cap 2^20"),
+        (["orders", "--gens", "5,7,8", "--q", str(cli.QUERY_Q_CAP + 1)],
+         "exceeds the --q cap 2^20"),
     ])
     def test_huge_q_is_rejected_before_factoring(self, capsys, monkeypatch,
                                                  argv, message):
@@ -126,6 +128,32 @@ class TestFaultsFailChecks:
         assert dropped and code == 1
         assert not checks["maximality"]["passed"]
         assert checks["maximality"]["details"]["delta"] == -16
+
+    def test_gk_fiber_loses_its_roots(self, capsys, monkeypatch):
+        # qbar = 3: d = 7, while the Hermitian walk takes 4th roots
+        _, out, _ = run_capture(["verify", "gk", "--qbar", "3", "--format", "json"],
+                                capsys)
+        before = json.loads(out)["report"]["census"]["meta"]
+        real, dropped = curves.root_logs, []
+
+        def lossy(la, n, N):
+            roots = real(la, n, N)
+            if n == 7 and roots and not dropped:
+                dropped.append(la)
+                return range(0)
+            return roots
+
+        monkeypatch.setattr(curves, "root_logs", lossy)
+        code, out, _ = run_capture(
+            ["verify", "gk", "--qbar", "3", "--format", "json"], capsys)
+        report = json.loads(out)["report"]
+        checks = {c["name"]: c for c in report["checks"]}
+        assert dropped and code == 1
+        assert report["census"]["meta"] == {
+            "split_fibers": before["split_fibers"] - 1,
+            "inert_fibers": before["inert_fibers"] + 1}
+        assert not checks["maximality"]["passed"]
+        assert checks["maximality"]["details"]["delta"] == -7
 
     def test_fk_split_violation(self, capsys, monkeypatch):
         real, hit = curves.root_logs, []

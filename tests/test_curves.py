@@ -121,6 +121,16 @@ class TestFKCensus:
         assert census.meta["fully_ramified_places"] == q + 1
         assert census.meta["condition5_violations"] == 0
 
+    @pytest.mark.parametrize("q", [5, 11, 17, 23, 29, 41, 47, 53, 59, 71])
+    def test_cube_test_is_condition5(self, q):
+        # w^m3 = 3 gives log 3 + m3 lab = m3 (lw + lab) mod N, and q+1 = 3 m3,
+        # so the cube test alone decides condition (5) at every log of ab
+        curve = curves.fk_curve(q)
+        F, m3 = curve.field, (q + 1) // 3
+        lw, l3 = F._log[curve.constants["w"]], F._log[3 % F.p]
+        for lab in range(F.order - 1):
+            assert ((lw + lab) % 3 == 0) == ((l3 + m3 * lab) % (q + 1) == 0)
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             curves.count_fk_places(curves.fk_curve(7))
@@ -372,6 +382,7 @@ class TestMonomialScan:
         capped = known({"x": range(q + 2), "y-beta": range(-(q + 1), 1)})
         assert capped == known({"x": range(2 * g + 1), "y-beta": range(-g, 1)})
         assert capped == [0, q - 2, q, q + 1]
+        assert known({"x": range(3), "y-beta": range(-2, 1)}) == capped
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
