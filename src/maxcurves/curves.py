@@ -235,38 +235,36 @@ def _hermitian_codes(qbar: int, F: FieldSpec) -> list[tuple[int, int]]:
     return points
 
 
-def hermitian_affine_points(qbar: int, F: FieldSpec):
-    """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0."""
-    return [(F.element(x), F.element(y)) for x, y in _hermitian_codes(qbar, F)]
-
-
 def _kummer_census(F: FieldSpec, d: int, fibers, split_id: str,
                    ramified_id: str) -> tuple[PlaceCensus, int, int]:
     """Count the places of z^d = f over the affine base points ``fibers``
-    yields as (coords, lf) in walk order, lf = log f there.
+    yields as (coords, lf, n) in walk order, lf = log f there and n the
+    number of base points that share the fiber's verdict (1 unless the
+    family walks one representative per class of points).
 
     lf is None where f has a zero or a pole: a fully ramified fiber, one
     place with e = d.  Since d divides N = |F*|, any other fiber splits
     into d places when f has d d-th roots there and is inert otherwise.
-    The first SAMPLES_PER_CLASS places of a class are kept, with ids
-    formatted from coords (and, if split, the least z).  Returns the
+    Each fiber adds n to its verdict's count, and its place is kept as a
+    sample while its class holds fewer than SAMPLES_PER_CLASS, with the
+    id formatted from coords (and, if split, the least z).  Returns the
     census and the split and inert fiber counts.
     """
     N = F.order - 1
     kept = {ZERO_OF_COVER: [], AFFINE_SPLIT: []}
     ramified = split = inert = 0
-    for coords, lf in fibers:
+    for coords, lf, n in fibers:
         if lf is None:
-            if ramified < SAMPLES_PER_CLASS:
+            if len(kept[ZERO_OF_COVER]) < SAMPLES_PER_CLASS:
                 kept[ZERO_OF_COVER].append(Place(ramified_id.format(*coords), d))
-            ramified += 1
+            ramified += n
         elif len(root_logs(lf, d, N)) == d:
-            if split < SAMPLES_PER_CLASS:
+            if len(kept[AFFINE_SPLIT]) < SAMPLES_PER_CLASS:
                 z = nth_roots(F.element(F._exp[lf]), d)[0].code
                 kept[AFFINE_SPLIT].append(Place(split_id.format(*coords, z), 1))
-            split += 1
+            split += n
         else:
-            inert += 1
+            inert += n
     census = PlaceCensus()
     for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
         if n:
@@ -305,7 +303,7 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
                 l_num = one_plus[(lx * (qbar * qbar - 1) + h) % N]
                 if l_den >= 0 and l_num >= 0:
                     lu = (log[y0] + h + l_num - l_den) % N
-            yield (x0, y0), lu
+            yield (x0, y0), lu, 1
 
     census, split, inert = _kummer_census(
         F, curve.params["d"], fibers(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
@@ -324,7 +322,7 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     """
     F = curve.field
     N, one_plus = F.order - 1, F._one_plus
-    fibers = (((t0,), (i + 6 * one_plus[i]) % N)  # c = t0 (t0 + 1)^6
+    fibers = (((t0,), (i + 6 * one_plus[i]) % N, 1)  # c = t0 (t0 + 1)^6
               for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
     census, split, _ = _kummer_census(F, 16, fibers, "gsx49:t={},z={}", "")
     census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", 1))   # over t=0
@@ -349,6 +347,22 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     (5): w^m3 = 3 gives log 3 = m3 log w (mod N), so log 3(ab)^m3 =
     m3 log(wab) (mod N), and since q+1 = 3 m3 divides N, q+1 divides it
     (the test for F_q) exactly when 3 divides log(wab).
+
+    The walk takes one a per class.  With N = q^2 - 1 and a = g^i,
+    log(1 + a^m3) = one_plus[i m3 % N] depends only on i mod N/m3 =
+    3(q-1), so the a = g^i with i < 3(q-1) stand for all N values of a,
+    m3 each, with the same roots b.  Those m3 roots j of b^m3 = -(1 +
+    a^m3) are 3(q-1) apart, so they share j mod 3, and so do the i of a
+    class: the split test 3 | lw + i + j gives the whole class one
+    verdict.  Each fiber of a representative thus weighs m3 (the a = 0
+    fibers weigh 1); each root keeps its own fiber, so samples name it.
+    The representatives are the first 3(q-1) a of the full walk (zero,
+    then exp order), their roots in the same order, so this walk is a
+    prefix of the full one and keeps its samples as long as the prefix
+    holds SAMPLES_PER_CLASS fibers of each verdict that occurs.  It does:
+    a = 0 gives m3 ramified fibers and each class m3 fibers of its
+    verdict, m3 >= 3 for q >= 11, and at q = 5 the prefix holds 3
+    ramified and 10 split fibers.
     """
     F, m3 = curve.field, (curve.q + 1) // 3
     N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
@@ -357,14 +371,14 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 
     def fibers():
         for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
-            yield (0, exp[j]), None
-        for i, a in enumerate(exp):
+            yield (0, exp[j]), None, 1
+        for i, a in enumerate(exp[:N // m3]):  # i < 3(q-1)
             s = one_plus[i * m3 % N]
             if s < 0:  # b = 0
-                yield (a, 0), None
+                yield (a, 0), None, m3
                 continue
             for j in sorted(root_logs(h + s, m3, N), key=exp.__getitem__):
-                yield (a, exp[j]), (lw + i + j) % N
+                yield (a, exp[j]), (lw + i + j) % N, m3
 
     census, _, inert = _kummer_census(F, 3, fibers(), "fk:a={},b={},z={}",
                                       "fk:a={},b={}")

@@ -247,9 +247,6 @@ class FieldSpec:
             raise ValueError("log of zero")
         return self._log[a.code]
 
-    def exp(self, i: int) -> "FieldElement":
-        return FieldElement(self, self._exp[i % (self.order - 1)])
-
     @property
     def signature(self) -> tuple:
         return (self.p, self.k, self.modulus, self.generator)
@@ -402,11 +399,6 @@ def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> int:
     raise AssertionError("no generator found")  # unreachable for a field
 
 
-def enumerate_field(F: FieldSpec) -> list[FieldElement]:
-    """All p^k elements exactly once: zero first, then exp(0), exp(1), ..."""
-    return [F.zero] + [FieldElement(F, c) for c in F._exp]
-
-
 def root_logs(la: int, n: int, N: int) -> range:
     """Logs of all x with x^n = g^la in a field with N nonzero elements.
 
@@ -435,13 +427,3 @@ def nth_roots(a: FieldElement, n: int) -> list[FieldElement]:
         return [F.zero]
     roots = root_logs(F.log(a), n, F.order - 1)
     return [FieldElement(F, c) for c in sorted(F._exp[i] for i in roots)]
-
-
-def is_in_subfield(a: FieldElement, m: int) -> bool:
-    """True iff a lies in the subfield F_{p^m}, i.e. a^{p^m} = a."""
-    F = a.field
-    if F.k % m != 0:
-        raise ValueError(f"{m} does not divide extension degree {F.k}")
-    if a.code == 0:
-        return True
-    return (F.log(a) * F.p ** m) % (F.order - 1) == F.log(a)

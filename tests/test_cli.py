@@ -168,9 +168,10 @@ class TestFaultsFailChecks:
         monkeypatch.setattr(curves, "root_logs", lossy)
         code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
         assert hit and code == 1
+        # the faulted fiber stands for its class, (q+1)/3 = 2 base points
         split = checks["split-condition-everywhere"]
-        assert not split["passed"] and split["details"]["violations"] == 1
-        assert checks["maximality"]["details"]["delta"] == -3
+        assert not split["passed"] and split["details"]["violations"] == 2
+        assert checks["maximality"]["details"]["delta"] == -6
 
     def test_fk_scan_misses_the_first_nongap(self, capsys, monkeypatch):
         real = curves.weierstrass_nongaps_from_monomials

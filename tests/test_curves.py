@@ -5,7 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxcurves import curves, gf, numsg
+from maxcurves import curves, gf, numsg, verify
+from field_helpers import (enumerate_field, hermitian_affine_points,
+                           is_in_subfield)
+
+FK_CATALOG = (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)
 
 
 class TestGenusFormulas:
@@ -39,28 +43,28 @@ class TestGenusFormulas:
 class TestHermitianPoints:
     def test_origin_always_on_curve(self):
         F = gf.make_field(3, 6)
-        pts = curves.hermitian_affine_points(3, F)
+        pts = hermitian_affine_points(3, F)
         zero = (F.zero, F.zero)
         assert zero in pts
 
     def test_count_f729(self):
         F = gf.make_field(3, 6)
-        assert len(curves.hermitian_affine_points(3, F)) == 891
+        assert len(hermitian_affine_points(3, F)) == 891
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
     def test_double_count_oracle(self, qbar, p, k):
         # oracle: raw double loop over all (x0, y0) pairs
         F = gf.make_field(p, k)
-        pts = curves.hermitian_affine_points(qbar, F)
-        brute = sum(1 for x0 in gf.enumerate_field(F)
-                    for y0 in gf.enumerate_field(F)
+        pts = hermitian_affine_points(qbar, F)
+        brute = sum(1 for x0 in enumerate_field(F)
+                    for y0 in enumerate_field(F)
                     if y0 ** (qbar + 1) == x0 ** qbar + x0)
         assert len(pts) == brute
         assert len(set(( 'x%d_y%d' % (x.code, y.code)) for x, y in pts)) == brute
 
     def test_rejects_wrong_characteristic(self):
         with pytest.raises(ValueError):
-            curves.hermitian_affine_points(2, gf.make_field(3, 6))
+            hermitian_affine_points(2, gf.make_field(3, 6))
 
 
 class TestGKCensus:
@@ -96,7 +100,7 @@ class TestGSX49Census:
         # oracle: direct loop over F_49
         F = gf.make_field(7, 2)
         minus_one = F.from_int(-1)
-        hits = sum(1 for t0 in gf.enumerate_field(F)
+        hits = sum(1 for t0 in enumerate_field(F)
                    if not t0.is_zero() and t0 != minus_one
                    and (t0 * (t0 + 1) ** 6) ** 3 == F.one)
         assert hits == 9
@@ -121,7 +125,7 @@ class TestFKCensus:
         assert census.meta["fully_ramified_places"] == q + 1
         assert census.meta["condition5_violations"] == 0
 
-    @pytest.mark.parametrize("q", [5, 11, 17, 23, 29, 41, 47, 53, 59, 71])
+    @pytest.mark.parametrize("q", FK_CATALOG)
     def test_cube_test_is_condition5(self, q):
         # w^m3 = 3 gives log 3 + m3 lab = m3 (lw + lab) mod N, and q+1 = 3 m3,
         # so the cube test alone decides condition (5) at every log of ab
@@ -142,6 +146,35 @@ class TestFKCensus:
         w = curve.field.element(curve.constants["w"])
         assert w ** 2 == curve.field.from_int(3)
 
+    @pytest.mark.parametrize("q", [5, 11])
+    def test_wrong_w_fails_the_split_check(self, q):
+        # a w whose log is off by one mod 3 moves every fiber's cube test:
+        # the class walk must still find each inert fiber
+        curve = curves.fk_curve(q)
+        F = curve.field
+        N = F.order - 1
+        curve.constants["w"] = F._exp[(F._log[curve.constants["w"]] + 1) % N]
+        census = curves.count_fk_places(curve)
+        assert census.to_fragment() == reference_census(curve).to_fragment()
+        assert census.meta["condition5_violations"] > 0
+        checks = {c.name: c for c in verify.theorem_report(curve).checks}
+        assert not checks["split-condition-everywhere"].passed
+
+    @pytest.mark.parametrize("q", FK_CATALOG)
+    def test_walks_fewer_fibers_than_field_elements(self, monkeypatch, q):
+        # one representative a per class of a^((q+1)/3): about q^2/3 fibers,
+        # against q^3/9 for a walk over every base point
+        real, walked = curves._kummer_census, []
+
+        def spy(F, d, fibers, *ids):
+            fibers = list(fibers)
+            walked.append(len(fibers))
+            return real(F, d, fibers, *ids)
+
+        monkeypatch.setattr(curves, "_kummer_census", spy)
+        curves.count_fk_places(curves.fk_curve(q))
+        assert len(walked) == 1 and walked[0] < q * q - 1
+
 
 def reference_census(curve):
     """The census written out on FieldElement objects: every point built,
@@ -153,7 +186,7 @@ def reference_census(curve):
     if curve.family == "GK":
         qbar, d = curve.params["qbar"], curve.params["d"]
         split_fibers = inert_fibers = 0
-        for x0 in gf.enumerate_field(F):
+        for x0 in enumerate_field(F):
             for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1):
                 den = x0 ** (qbar - 1) + 1
                 t = y0 * (x0 ** (qbar * qbar - 1) - 1)
@@ -171,7 +204,7 @@ def reference_census(curve):
         census.meta.update(split_fibers=split_fibers, inert_fibers=inert_fibers)
     elif curve.family == "GSX49":
         fibers = 0
-        for t0 in gf.enumerate_field(F):
+        for t0 in enumerate_field(F):
             if t0.is_zero() or t0 == -1:
                 continue
             roots = gf.nth_roots(t0 * (t0 + 1) ** 6, 16)
@@ -187,14 +220,14 @@ def reference_census(curve):
         q, w = curve.q, F.element(curve.constants["w"])
         m3 = (q + 1) // 3
         violations = 0
-        for a in gf.enumerate_field(F):
+        for a in enumerate_field(F):
             for b in gf.nth_roots(-1 - a ** m3, m3):
                 if a.is_zero() or b.is_zero():
                     census.add(zero, 1, Place(f"fk:a={a.code},b={b.code}", 3))
                     continue
                 roots = gf.nth_roots(w * a * b, 3)
                 if (len(roots) != 3
-                        or not gf.is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
+                        or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
                     violations += 1
                     continue
                 census.add(split, 3, Place(
@@ -225,15 +258,15 @@ class TestReferenceCensus:
     def test_constant_w_is_first_in_enumeration_order(self, q):
         F = curves.fk_curve(q).field
         three = F.from_int(3)
-        first = next(w for w in gf.enumerate_field(F) if w ** ((q + 1) // 3) == three)
+        first = next(w for w in enumerate_field(F) if w ** ((q + 1) // 3) == three)
         assert F.element(curves.fk_curve(q).constants["w"]) == first
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
     def test_hermitian_points_in_walk_order(self, qbar, p, k):
         F = gf.make_field(p, k)
-        want = [(x0, y0) for x0 in gf.enumerate_field(F)
+        want = [(x0, y0) for x0 in enumerate_field(F)
                 for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1)]
-        assert curves.hermitian_affine_points(qbar, F) == want
+        assert hermitian_affine_points(qbar, F) == want
 
     @pytest.mark.parametrize("count,curve", [
         (curves.count_fk_places, lambda: curves.fk_curve(41)),
