@@ -27,9 +27,15 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 
-#: Largest --q the query commands accept: `deduce-dim` answers with and
-#: `orders` sieves about q entries.
+#: Largest --q, smallest generator and --upto the query commands accept:
+#: `deduce-dim` answers with and `orders` sieves about q entries, the
+#: Apéry set has one entry per residue of the smallest generator, and
+#: `semigroup --upto B` lists up to B + 1 non-gaps.
 QUERY_Q_CAP = 2 ** 20
+
+
+def _over_cap(value: int, what: str) -> str:
+    return f"{value} exceeds the {what} cap 2^{QUERY_Q_CAP.bit_length() - 1}"
 
 
 def _prime_power_arg(text: str) -> int:
@@ -38,8 +44,7 @@ def _prime_power_arg(text: str) -> int:
     try:
         q = int(text)
         if q > QUERY_Q_CAP:
-            raise argparse.ArgumentTypeError(
-                f"{text} exceeds the --q cap 2^{QUERY_Q_CAP.bit_length() - 1}")
+            raise argparse.ArgumentTypeError(_over_cap(q, "--q"))
         gf.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text} is not a prime power") from None
@@ -102,6 +107,8 @@ def _parse_gens(spec: str) -> list[int]:
         raise ValueError(f"cannot parse generators {spec!r}")
     if not gens:
         raise ValueError("no generators given")
+    if min(gens) > QUERY_Q_CAP:
+        raise ValueError(_over_cap(min(gens), "smallest-generator"))
     return gens
 
 
@@ -135,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
+    if (args.upto or 0) > QUERY_Q_CAP:
+        raise ValueError(_over_cap(args.upto, "--upto"))
     S = numsg.semigroup_from_generators(_parse_gens(args.gens))
     frag = S.to_fragment()
     if args.upto is not None:

@@ -39,13 +39,12 @@ class NumericalSemigroup:
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
-        """Non-gaps that are not sums of two smaller positive non-gaps."""
-        out = []
-        for n in self.generators:
-            if not any(contains(self, a) and contains(self, n - a)
-                       for a in range(1, n // 2 + 1)):
-                out.append(n)
-        return tuple(out)
+        """Generators that are no sum a + b of positive non-gaps.  n is
+        such a sum iff some generator g < n leaves n - g a non-gap (a =
+        g + a' gives n - g = a' + b), so k generators take k^2 lookups."""
+        gens = self.generators
+        return tuple(n for n in gens
+                     if not any(g < n and contains(self, n - g) for g in gens))
 
     def to_fragment(self, q: int | None = None) -> dict:
         frag = {

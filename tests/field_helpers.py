@@ -5,8 +5,7 @@ these: whole-field enumeration, subfield membership, powers of the
 generator and the Hermitian points as ``FieldElement`` pairs.
 """
 
-from maxcurves import curves
-from maxcurves.gf import FieldElement, FieldSpec
+from maxcurves.gf import FieldElement, FieldSpec, nth_roots
 
 
 def enumerate_field(F: FieldSpec) -> list[FieldElement]:
@@ -30,7 +29,7 @@ def field_exp(F: FieldSpec, i: int) -> FieldElement:
 
 
 def hermitian_affine_points(qbar: int, F: FieldSpec):
-    """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0, in the
-    census's walk order."""
-    return [(F.element(x), F.element(y))
-            for x, y in curves._hermitian_codes(qbar, F)]
+    """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0: x0 in
+    enumeration order, its y0 from nth_roots (by code)."""
+    return [(x0, y0) for x0 in enumerate_field(F)
+            for y0 in nth_roots(x0 ** qbar + x0, qbar + 1)]

@@ -79,6 +79,24 @@ class TestExitCodes:
         code, out, err = run_capture(argv, capsys)
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["semigroup", "--gens", f"{cli.QUERY_Q_CAP + 1},{cli.QUERY_Q_CAP + 2}"],
+         f"{cli.QUERY_Q_CAP + 1} exceeds the smallest-generator cap 2^20"),
+        (["orders", "--gens", "3000000,3000001", "--q", "2"],
+         "3000000 exceeds the smallest-generator cap 2^20"),
+        (["semigroup", "--gens", "2,3", "--upto", str(cli.QUERY_Q_CAP + 1)],
+         f"{cli.QUERY_Q_CAP + 1} exceeds the --upto cap 2^20"),
+    ])
+    def test_table_sizes_are_capped_before_the_semigroup_is_built(
+            self, capsys, monkeypatch, argv, message):
+        # the Apéry set has min(gens) entries and --upto B lists B + 1 non-gaps
+        def refuse(gens):
+            raise AssertionError(f"semigroup_from_generators({gens}) called")
+
+        monkeypatch.setattr(numsg, "semigroup_from_generators", refuse)
+        code, out, err = run_capture(argv, capsys)
+        assert code == 2 and out == "" and message in err
+
     def test_one_parser_serves_successive_runs(self, capsys):
         cli._build_parser.cache_clear()
         code, out, _ = run_capture(
@@ -278,6 +296,16 @@ class TestQueryCommands:
         code, out, _ = run_capture(["semigroup", "--gens", "5,7,8", *extra], capsys)
         assert code == 0 and "gaps: [1, 2, 3, 4, 6, 9, 11]" in out
         assert len(calls) == 1
+
+    def test_semigroup_with_a_huge_generator(self, capsys):
+        # minimality tests each generator against the others, not against
+        # every a <= n/2
+        code, out, _ = run_capture(
+            ["semigroup", "--gens", "3,1000000000000", "--format", "json"], capsys)
+        frag = json.loads(out)["semigroup"]
+        assert code == 0 and frag["generators"] == [3, 10 ** 12]
+        assert frag["genus"] == 10 ** 12 - 1
+        assert frag["conductor"] == 2 * 10 ** 12 - 2
 
     def test_orders(self, capsys):
         code, out, _ = run_capture(["orders", "--gens", "5,7,8", "--q", "7"], capsys)

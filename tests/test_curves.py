@@ -40,31 +40,46 @@ class TestGenusFormulas:
         assert curves.maximal_N(5, 0) == 26
 
 
-class TestHermitianPoints:
-    def test_origin_always_on_curve(self):
-        F = gf.make_field(3, 6)
-        pts = hermitian_affine_points(3, F)
-        zero = (F.zero, F.zero)
-        assert zero in pts
+def walked_fibers(monkeypatch, count, curve):
+    """The fibers ``count`` hands to the one Kummer census, as a list of
+    (coords, lf, n)."""
+    real, walked = curves._kummer_census, []
 
-    def test_count_f729(self):
-        F = gf.make_field(3, 6)
-        assert len(hermitian_affine_points(3, F)) == 891
+    def spy(F, d, fibers, *ids):
+        walked.append(list(fibers))
+        return real(F, d, walked[-1], *ids)
+
+    monkeypatch.setattr(curves, "_kummer_census", spy)
+    count(curve)
+    assert len(walked) == 1
+    return walked[0]
+
+
+class TestHermitianPoints:
+    """The GK census walks the affine Hermitian points itself."""
+
+    def test_origin_always_on_curve(self, monkeypatch):
+        fibers = walked_fibers(monkeypatch, curves.count_gk_places,
+                               curves.gk_curve(3))
+        assert fibers[0] == ((0, 0), None, 1)
+
+    def test_count_f729(self, monkeypatch):
+        fibers = walked_fibers(monkeypatch, curves.count_gk_places,
+                               curves.gk_curve(3))
+        assert len(fibers) == 891
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
-    def test_double_count_oracle(self, qbar, p, k):
+    def test_double_count_oracle(self, monkeypatch, qbar, p, k):
         # oracle: raw double loop over all (x0, y0) pairs
-        F = gf.make_field(p, k)
-        pts = hermitian_affine_points(qbar, F)
+        curve = curves.gk_curve(qbar)
+        F = curve.field
+        assert (F.p, F.k) == (p, k)
+        fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
         brute = sum(1 for x0 in enumerate_field(F)
                     for y0 in enumerate_field(F)
                     if y0 ** (qbar + 1) == x0 ** qbar + x0)
-        assert len(pts) == brute
-        assert len(set(( 'x%d_y%d' % (x.code, y.code)) for x, y in pts)) == brute
-
-    def test_rejects_wrong_characteristic(self):
-        with pytest.raises(ValueError):
-            hermitian_affine_points(2, gf.make_field(3, 6))
+        assert len(fibers) == brute
+        assert len({coords for coords, _, _ in fibers}) == brute
 
 
 class TestGKCensus:
@@ -164,16 +179,9 @@ class TestFKCensus:
     def test_walks_fewer_fibers_than_field_elements(self, monkeypatch, q):
         # one representative a per class of a^((q+1)/3): about q^2/3 fibers,
         # against q^3/9 for a walk over every base point
-        real, walked = curves._kummer_census, []
-
-        def spy(F, d, fibers, *ids):
-            fibers = list(fibers)
-            walked.append(len(fibers))
-            return real(F, d, fibers, *ids)
-
-        monkeypatch.setattr(curves, "_kummer_census", spy)
-        curves.count_fk_places(curves.fk_curve(q))
-        assert len(walked) == 1 and walked[0] < q * q - 1
+        fibers = walked_fibers(monkeypatch, curves.count_fk_places,
+                               curves.fk_curve(q))
+        assert len(fibers) < q * q - 1
 
 
 def reference_census(curve):
@@ -186,20 +194,19 @@ def reference_census(curve):
     if curve.family == "GK":
         qbar, d = curve.params["qbar"], curve.params["d"]
         split_fibers = inert_fibers = 0
-        for x0 in enumerate_field(F):
-            for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1):
-                den = x0 ** (qbar - 1) + 1
-                t = y0 * (x0 ** (qbar * qbar - 1) - 1)
-                if den.is_zero() or t.is_zero():
-                    census.add(zero, 1, Place(f"gk:x={x0.code},y={y0.code},z=0", d))
-                    continue
-                roots = gf.nth_roots(t / den, d)
-                if roots:
-                    split_fibers += 1
-                    census.add(split, len(roots), Place(
-                        f"gk:x={x0.code},y={y0.code},z={roots[0].code}", 1))
-                else:
-                    inert_fibers += 1
+        for x0, y0 in hermitian_affine_points(qbar, F):
+            den = x0 ** (qbar - 1) + 1
+            t = y0 * (x0 ** (qbar * qbar - 1) - 1)
+            if den.is_zero() or t.is_zero():
+                census.add(zero, 1, Place(f"gk:x={x0.code},y={y0.code},z=0", d))
+                continue
+            roots = gf.nth_roots(t / den, d)
+            if roots:
+                split_fibers += 1
+                census.add(split, len(roots), Place(
+                    f"gk:x={x0.code},y={y0.code},z={roots[0].code}", 1))
+            else:
+                inert_fibers += 1
         census.add(inf, 1, Place("gk:P0", d))
         census.meta.update(split_fibers=split_fibers, inert_fibers=inert_fibers)
     elif curve.family == "GSX49":
@@ -262,11 +269,14 @@ class TestReferenceCensus:
         assert F.element(curves.fk_curve(q).constants["w"]) == first
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
-    def test_hermitian_points_in_walk_order(self, qbar, p, k):
-        F = gf.make_field(p, k)
-        want = [(x0, y0) for x0 in enumerate_field(F)
-                for y0 in gf.nth_roots(x0 ** qbar + x0, qbar + 1)]
-        assert hermitian_affine_points(qbar, F) == want
+    def test_hermitian_points_in_walk_order(self, monkeypatch, qbar, p, k):
+        curve = curves.gk_curve(qbar)
+        F = curve.field
+        assert (F.p, F.k) == (p, k)
+        fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
+        assert [coords for coords, _, _ in fibers] == [
+            (x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
+        assert {n for _, _, n in fibers} == {1}
 
     @pytest.mark.parametrize("count,curve", [
         (curves.count_fk_places, lambda: curves.fk_curve(41)),

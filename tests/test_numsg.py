@@ -14,6 +14,14 @@ def schur_bound(gens):
     return (min(gens) - 1) * (max(gens) - 1) + min(gens)
 
 
+def minimal_by_pairs(S):
+    """Reference: the generators that are no sum a + b of two positive
+    non-gaps, a <= b."""
+    return tuple(n for n in S.generators
+                 if not any(numsg.contains(S, a) and numsg.contains(S, n - a)
+                            for a in range(1, n // 2 + 1)))
+
+
 def sieve(gens, bound):
     """Oracle: dynamic-programming membership table on [0, bound]."""
     table = [True] + [False] * bound
@@ -86,6 +94,21 @@ class TestConstruction:
     def test_minimal_generators(self):
         S = numsg.semigroup_from_generators({5, 7, 8, 10, 12, 13, 15})
         assert S.minimal_generators == (5, 7, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=6)
+           .filter(lambda gens: reduce(gcd, gens) == 1))
+    def test_minimal_generators_match_the_pair_definition(self, gens):
+        S = numsg.semigroup_from_generators(gens)
+        assert S.minimal_generators == minimal_by_pairs(S)
+
+    def test_minimal_generators_take_at_most_k_squared_lookups(self, monkeypatch):
+        S = numsg.semigroup_from_generators({21, 1000})
+        real, calls = numsg.contains, []
+        monkeypatch.setattr(numsg, "contains",
+                            lambda S, n: calls.append(n) or real(S, n))
+        assert S.minimal_generators == (21, 1000)
+        assert len(calls) <= 2 ** 2
 
 
 class TestMembership:
