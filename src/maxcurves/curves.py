@@ -11,8 +11,7 @@ Three families are supported:
 
 Everything is exact integer / finite-field arithmetic; no floats.  The
 censuses count on integer codes and discrete logs (``FieldSpec``'s
-tables) and build ``FieldElement`` objects only for the sample places
-they keep.
+tables) and solve for z only at the sample places they keep.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ def _kummer_census(F: FieldSpec, d: int, fibers, split_id: str,
             ramified += n
         elif len(root_logs(lf, d, N)) == d:
             if len(kept[AFFINE_SPLIT]) < SAMPLES_PER_CLASS:
-                z = nth_roots(F.element(F._exp[lf]), d)[0].code
+                z = nth_roots(F, F._exp[lf], d)[0]
                 kept[AFFINE_SPLIT].append(Place(split_id.format(*coords, z), 1))
             split += n
         else:

@@ -1,9 +1,10 @@
 """Exact arithmetic in small finite fields F_{p^k}.
 
 Fields are built eagerly with full discrete-log tables, so every field
-here must be tiny (the cap is ``FIELD_CAP`` elements).  Elements carry a
-canonical representation: an integer code encoding the coefficient
-vector of the residue polynomial in base p, low coefficient first.
+here must be tiny (the cap is ``FIELD_CAP`` elements).  An element is
+its integer code, the coefficient vector of the residue polynomial in
+base p, low coefficient first, and the module computes on codes and
+their discrete logs only.
 
 The exp table is a walk g^0, g^1, ... over codes.  Multiplying by the
 generator g is F_p-linear, so the walk splits each code into a low and a
@@ -228,28 +229,6 @@ class FieldSpec:
         self._log = log
         # on codes, c + 1 only changes the constant digit
         self._one_plus = [log[c - c % p + (c + 1) % p] for c in exp]
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1)
-
-    # -- element construction
-
-    def element(self, code: int) -> FieldElement:
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for F_{self.order}")
-        return FieldElement(self, code)
-
-    def from_int(self, n: int) -> FieldElement:
-        """Embed an integer through the prime subfield (n mod p)."""
-        return FieldElement(self, n % self.p)
-
-    def log(self, a: "FieldElement") -> int:
-        if a.code == 0:
-            raise ValueError("log of zero")
-        return self._log[a.code]
-
-    @property
-    def signature(self) -> tuple:
-        return (self.p, self.k, self.modulus, self.generator)
 
     def to_fragment(self) -> dict:
         """Serializable description, embedded into verification reports."""
@@ -263,105 +242,6 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(F_{self.order} = F_{self.p}^{self.k})"
-
-
-class FieldElement:
-    """An element of a :class:`FieldSpec`, identified by its canonical code.
-
-    Products, powers and inverses are log/exp table lookups; sums are
-    digitwise mod p.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field.signature != self.field.signature:
-                raise ValueError("mixed-field operands")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # no table: the reference the one-plus table is tested against
-        p, a, b = self.field.p, self.code, o.code
-        code, mult = 0, 1
-        for _ in range(self.field.k):
-            code += (a + b) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return FieldElement(self.field, code)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        F = self.field
-        if self.code == 0 or o.code == 0:
-            return F.zero
-        return FieldElement(F, F._exp[(F._log[self.code] + F._log[o.code]) % (F.order - 1)])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        F = self.field
-        if self.code == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return F.one if e == 0 else F.zero
-        return FieldElement(F, F._exp[F._log[self.code] * e % (F.order - 1)])
-
-    def inverse(self) -> "FieldElement":
-        return self ** -1
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.code == other.code and self.field.signature == other.field.signature
-        if isinstance(other, int):
-            # integers compare through the prime-subfield embedding
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.signature, self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"F{self.field.order}:{self.code}"
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +294,15 @@ def root_logs(la: int, n: int, N: int) -> range:
     return range(x0, N, N_)
 
 
-def nth_roots(a: FieldElement, n: int) -> list[FieldElement]:
-    """All x in the field with x^n = a, sorted by code.
+def nth_roots(F: FieldSpec, code: int, n: int) -> list[int]:
+    """Codes of all x in F with x^n = the element ``code``, in increasing
+    order.
 
-    For a = 0 this is [0]; otherwise the list is empty or has exactly
-    gcd(n, p^k - 1) elements, from :func:`root_logs`.
+    For code 0 this is [0]; otherwise the list is empty or has exactly
+    gcd(n, p^k - 1) codes, from :func:`root_logs`.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    F = a.field
-    if a.code == 0:
-        return [F.zero]
-    roots = root_logs(F.log(a), n, F.order - 1)
-    return [FieldElement(F, c) for c in sorted(F._exp[i] for i in roots)]
+    if code == 0:
+        return [0]
+    return sorted(F._exp[i] for i in root_logs(F._log[code], n, F.order - 1))

@@ -1,16 +1,90 @@
 """Element-level helpers the tests build brute-force oracles from.
 
-The package counts on integer codes and discrete logs and needs none of
-these: whole-field enumeration, subfield membership, powers of the
-generator and the Hermitian points as ``FieldElement`` pairs.
+The package computes on integer codes and discrete logs and needs none
+of these: an element class, whole-field enumeration, subfield
+membership, powers of the generator, roots as elements and the
+Hermitian points as element pairs.
 """
 
-from maxcurves.gf import FieldElement, FieldSpec, nth_roots
+from maxcurves.gf import FieldSpec, nth_roots
+
+
+class FieldElement:
+    """An element of a :class:`FieldSpec`, identified by its code.
+
+    Products and powers are log/exp table lookups; sums are digitwise
+    mod p with no table, the reference the one-plus table is tested
+    against.  Integers embed through the prime subfield (n mod p).
+    """
+
+    __slots__ = ("field", "code")
+
+    def __init__(self, field: FieldSpec, code: int):
+        self.field, self.code = field, code
+
+    def _coerce(self, other) -> "FieldElement":
+        if isinstance(other, FieldElement):
+            return other
+        return FieldElement(self.field, other % self.field.p)
+
+    def __add__(self, other):
+        p, a, b = self.field.p, self.code, self._coerce(other).code
+        code, mult = 0, 1
+        for _ in range(self.field.k):
+            code += (a + b) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return FieldElement(self.field, code)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        F, o = self.field, self._coerce(other)
+        if self.code == 0 or o.code == 0:
+            return FieldElement(F, 0)
+        return FieldElement(F, F._exp[(F._log[self.code] + F._log[o.code]) % (F.order - 1)])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._coerce(other) ** -1
+
+    def __pow__(self, e: int):
+        F = self.field
+        if self.code == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return FieldElement(F, int(e == 0))
+        return FieldElement(F, F._exp[F._log[self.code] * e % (F.order - 1)])
+
+    def is_zero(self) -> bool:
+        return self.code == 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (FieldElement, int)):
+            return NotImplemented
+        return self.code == self._coerce(other).code
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
+    def __repr__(self) -> str:
+        return f"F{self.field.order}:{self.code}"
 
 
 def enumerate_field(F: FieldSpec) -> list[FieldElement]:
     """All p^k elements exactly once: zero first, then g^0, g^1, ..."""
-    return [F.zero] + [FieldElement(F, c) for c in F._exp]
+    return [FieldElement(F, 0)] + [FieldElement(F, c) for c in F._exp]
 
 
 def is_in_subfield(a: FieldElement, m: int) -> bool:
@@ -18,9 +92,7 @@ def is_in_subfield(a: FieldElement, m: int) -> bool:
     F = a.field
     if F.k % m != 0:
         raise ValueError(f"{m} does not divide extension degree {F.k}")
-    if a.code == 0:
-        return True
-    return (F.log(a) * F.p ** m) % (F.order - 1) == F.log(a)
+    return a ** F.p ** m == a
 
 
 def field_exp(F: FieldSpec, i: int) -> FieldElement:
@@ -28,8 +100,13 @@ def field_exp(F: FieldSpec, i: int) -> FieldElement:
     return FieldElement(F, F._exp[i % (F.order - 1)])
 
 
+def element_roots(a: FieldElement, n: int) -> list[FieldElement]:
+    """All x with x^n = a, as elements sorted by code."""
+    return [FieldElement(a.field, c) for c in nth_roots(a.field, a.code, n)]
+
+
 def hermitian_affine_points(qbar: int, F: FieldSpec):
     """All (x0, y0) in F x F with y0^(qbar+1) = x0^qbar + x0: x0 in
-    enumeration order, its y0 from nth_roots (by code)."""
+    enumeration order, its y0 from element_roots (by code)."""
     return [(x0, y0) for x0 in enumerate_field(F)
-            for y0 in nth_roots(x0 ** qbar + x0, qbar + 1)]
+            for y0 in element_roots(x0 ** qbar + x0, qbar + 1)]

@@ -16,7 +16,6 @@ import pytest
 
 from maxcurves import cli, curves, gf, numsg, verify
 import test_verify
-from field_helpers import enumerate_field
 from test_numsg import assert_matches_sieve
 
 
@@ -135,10 +134,10 @@ def test_criterion_5_property_suites():
         for n in (2, 3, 16):
             g = gcd(n, F.order - 1)
             total = 0
-            for a in enumerate_field(F):
-                s = gf.nth_roots(a, n)
+            for a in range(F.order):
+                s = gf.nth_roots(F, a, n)
                 total += len(s)
-                if not a.is_zero():
+                if a:
                     assert len(s) in (0, g)
             assert total == F.order
 

@@ -232,6 +232,66 @@ class TestFaultsFailChecks:
         assert cross["details"] == {"formula": 5, "riemann_hurwitz": 4}
 
 
+def _scan_drops(nongap):
+    def fault(real):
+        def lossy(table, target, ranges, q):
+            scan = real(table, target, ranges, q)
+            return dict(scan, nongaps=[n for n in scan["nongaps"] if n != nongap])
+        return lossy
+    return fault
+
+
+def _a0_fibers_lose_a_root(real):
+    # b^m3 = -1 over a = 0 is root_logs(N/2, m3, N), m3 = 4 at q = 11; the
+    # first call with n = 4 is the w search, so aim at la instead
+    def lossy(la, n, N):
+        roots = real(la, n, N)
+        return roots[:-1] if (la, n) == (N // 2, 4) else roots
+    return lossy
+
+
+def _p0_beta_off_by_one(real):
+    def lossy(table, exponents):
+        div = real(table, exponents)
+        return dict(div, P0_beta=div["P0_beta"] + 1)
+    return lossy
+
+
+def _ramified_gains_20(real):
+    def widened(gens):
+        gens = tuple(gens)
+        return real(gens + (20,) if gens == (21, 27, 28) else gens)
+    return widened
+
+
+class TestEveryCheckCanFail:
+    """A fault aimed at one step fails the checks that read that step,
+    through their own entries (exit 1), for checks no other test faults."""
+
+    @pytest.mark.parametrize("argv,target,fault,failed", [
+        (["gsx49"], (curves, "weierstrass_nongaps_from_monomials"), _scan_drops(5),
+         {"monomial-certified-nongaps", "small-nongaps", "semigroup-gap-count",
+          "j2-at-Pinf", "frobenius-dimension"}),
+        (["gsx49", "--inject-census-delta", "1"], None, None,
+         {"sixteenth-power-fiber-count"}),
+        (["fk", "--q", "11"], (curves, "root_logs"), _a0_fibers_lose_a_root,
+         {"fully-ramified-count"}),
+        (["fk", "--q", "11"], (curves, "divisor_of_monomial"), _p0_beta_off_by_one,
+         {"distinguished-pole-order"}),
+        (["gk", "--qbar", "3"], (numsg, "semigroup_from_generators"),
+         _ramified_gains_20, {"ramified-semigroup-gap-count", "ramified-orders"}),
+    ], ids=["gsx49-scan-drops-5", "gsx49-census-delta", "fk11-a0-fiber-root",
+            "fk11-pole-order", "gk3-extra-generator"])
+    def test_fault_fails_its_checks(self, capsys, monkeypatch, argv, target,
+                                    fault, failed):
+        if target:
+            module, attr = target
+            monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+        code, checks = verify_json(["verify", *argv], capsys)
+        assert code == 1
+        assert failed <= {name for name, c in checks.items() if not c["passed"]}
+
+
 class TestVerifyOutput:
     def test_json_schema_fields(self, capsys):
         code, out, _ = run_capture(["verify", "gsx49", "--format", "json"], capsys)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxcurves import curves, gf, numsg, verify
-from field_helpers import (enumerate_field, hermitian_affine_points,
-                           is_in_subfield)
+from field_helpers import (FieldElement, element_roots, enumerate_field,
+                           hermitian_affine_points, is_in_subfield)
 
 FK_CATALOG = (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)
 
@@ -53,6 +53,19 @@ def walked_fibers(monkeypatch, count, curve):
     count(curve)
     assert len(walked) == 1
     return walked[0]
+
+
+def solved_roots(monkeypatch, count, curve):
+    """The census ``count`` returns for curve, and each curves.nth_roots
+    call it makes, as (code, n)."""
+    real, calls = curves.nth_roots, []
+
+    def spy(F, code, n):
+        calls.append((code, n))
+        return real(F, code, n)
+
+    monkeypatch.setattr(curves, "nth_roots", spy)
+    return count(curve), calls
 
 
 class TestHermitianPoints:
@@ -114,10 +127,9 @@ class TestGSX49Census:
         assert census.meta["sixteenth_power_fibers"] == 9
         # oracle: direct loop over F_49
         F = gf.make_field(7, 2)
-        minus_one = F.from_int(-1)
         hits = sum(1 for t0 in enumerate_field(F)
-                   if not t0.is_zero() and t0 != minus_one
-                   and (t0 * (t0 + 1) ** 6) ** 3 == F.one)
+                   if not t0.is_zero() and t0 != -1
+                   and (t0 * (t0 + 1) ** 6) ** 3 == 1)
         assert hits == 9
         assert 16 * 9 + 4 == 148
 
@@ -158,8 +170,8 @@ class TestFKCensus:
 
     def test_constant_w(self):
         curve = curves.fk_curve(5)
-        w = curve.field.element(curve.constants["w"])
-        assert w ** 2 == curve.field.from_int(3)
+        w = FieldElement(curve.field, curve.constants["w"])
+        assert w ** 2 == 3
 
     @pytest.mark.parametrize("q", [5, 11])
     def test_wrong_w_fails_the_split_check(self, q):
@@ -186,7 +198,7 @@ class TestFKCensus:
 
 def reference_census(curve):
     """The census written out on FieldElement objects: every point built,
-    roots from nth_roots, condition (5) from is_in_subfield."""
+    roots from element_roots, condition (5) from is_in_subfield."""
     F = curve.field
     census = curves.PlaceCensus()
     Place = curves.Place
@@ -200,7 +212,7 @@ def reference_census(curve):
             if den.is_zero() or t.is_zero():
                 census.add(zero, 1, Place(f"gk:x={x0.code},y={y0.code},z=0", d))
                 continue
-            roots = gf.nth_roots(t / den, d)
+            roots = element_roots(t / den, d)
             if roots:
                 split_fibers += 1
                 census.add(split, len(roots), Place(
@@ -214,7 +226,7 @@ def reference_census(curve):
         for t0 in enumerate_field(F):
             if t0.is_zero() or t0 == -1:
                 continue
-            roots = gf.nth_roots(t0 * (t0 + 1) ** 6, 16)
+            roots = element_roots(t0 * (t0 + 1) ** 6, 16)
             if roots:
                 fibers += 1
                 census.add(split, len(roots),
@@ -224,15 +236,15 @@ def reference_census(curve):
         census.add(inf, 1, Place("gsx49:Pinf", 1))
         census.meta["sixteenth_power_fibers"] = fibers
     else:
-        q, w = curve.q, F.element(curve.constants["w"])
+        q, w = curve.q, FieldElement(F, curve.constants["w"])
         m3 = (q + 1) // 3
         violations = 0
         for a in enumerate_field(F):
-            for b in gf.nth_roots(-1 - a ** m3, m3):
+            for b in element_roots(-1 - a ** m3, m3):
                 if a.is_zero() or b.is_zero():
                     census.add(zero, 1, Place(f"fk:a={a.code},b={b.code}", 3))
                     continue
-                roots = gf.nth_roots(w * a * b, 3)
+                roots = element_roots(w * a * b, 3)
                 if (len(roots) != 3
                         or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
                     violations += 1
@@ -264,9 +276,8 @@ class TestReferenceCensus:
     @pytest.mark.parametrize("q", [5, 11, 17, 41])
     def test_constant_w_is_first_in_enumeration_order(self, q):
         F = curves.fk_curve(q).field
-        three = F.from_int(3)
-        first = next(w for w in enumerate_field(F) if w ** ((q + 1) // 3) == three)
-        assert F.element(curves.fk_curve(q).constants["w"]) == first
+        first = next(w for w in enumerate_field(F) if w ** ((q + 1) // 3) == 3)
+        assert curves.fk_curve(q).constants["w"] == first.code
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
     def test_hermitian_points_in_walk_order(self, monkeypatch, qbar, p, k):
@@ -278,25 +289,30 @@ class TestReferenceCensus:
             (x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
         assert {n for _, _, n in fibers} == {1}
 
-    @pytest.mark.parametrize("count,curve", [
-        (curves.count_fk_places, lambda: curves.fk_curve(41)),
-        (curves.count_gk_places, lambda: curves.gk_curve(3)),
+    @pytest.mark.parametrize("count,curve,d", [
+        (curves.count_gk_places, lambda: curves.gk_curve(3), 7),
+        (curves.count_gk_places, lambda: curves.gk_curve(4), 13),
+        (curves.count_gsx49_places, curves.gsx49_curve, 16),
+        (curves.count_fk_places, lambda: curves.fk_curve(41), 3),
+        (curves.count_fk_places, lambda: curves.fk_curve(71), 3),
     ])
-    def test_builds_field_elements_for_samples_only(self, monkeypatch, count,
-                                                    curve):
-        # a kept sample builds its fiber value and nth_roots' roots: 1 + 7
-        # elements for GK (d = 7 at qbar = 3), 1 + 3 for FK (cube roots)
-        model, built = curve(), []
-        real = gf.FieldElement.__init__
-
-        def counting(self, field, code):
-            built.append(code)
-            real(self, field, code)
-
-        monkeypatch.setattr(gf.FieldElement, "__init__", counting)
-        census = count(model)
-        assert census.total > 1000
-        assert len(built) <= curves.SAMPLES_PER_CLASS * (1 + 7)
+    def test_solves_for_z_at_kept_split_samples_only(self, monkeypatch, count,
+                                                     curve, d):
+        # one nth_roots call per kept split sample, on its fiber value,
+        # and the sample's z is the least code among the d-th roots
+        model = curve()
+        F, N = model.field, model.field.order - 1
+        fibers = walked_fibers(monkeypatch, count, model)
+        census, calls = solved_roots(monkeypatch, count, model)
+        split = [lf for _, lf, _ in fibers
+                 if lf is not None and len(gf.root_logs(lf, d, N)) == d]
+        kept = split[:curves.SAMPLES_PER_CLASS]
+        samples = census.samples[curves.AFFINE_SPLIT]
+        assert kept and calls == [(F._exp[lf], d) for lf in kept]
+        assert len(samples) == len(kept)
+        for lf, place in zip(kept, samples):
+            z = min(F._exp[j] for j in gf.root_logs(lf, d, N))
+            assert place.id.endswith(f",z={z}")
 
 
 class TestDivisors:
