@@ -17,7 +17,7 @@ tables) and solve for z only at the sample places they keep.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import mul
 
@@ -43,12 +43,14 @@ class PlaceCensus:
         self.samples: dict[str, list[Place]] = {}
         self.meta: dict[str, int] = {}
 
-    def add(self, tag: str, n: int = 1, sample: Place | None = None):
+    def add(self, tag: str, n: int = 1, *, samples=()):
+        """Count n places of class tag; draw samples only while the class
+        keeps fewer than SAMPLES_PER_CLASS."""
         self.counts[tag] = self.counts.get(tag, 0) + n
-        if sample is not None:
-            kept = self.samples.setdefault(tag, [])
-            if len(kept) < SAMPLES_PER_CLASS:
-                kept.append(sample)
+        kept = self.samples.get(tag, [])
+        kept.extend(islice(samples, SAMPLES_PER_CLASS - len(kept)))
+        if kept:
+            self.samples[tag] = kept
 
     @property
     def total(self) -> int:
@@ -213,40 +215,46 @@ def _fk_constant_w(F: FieldSpec, q: int) -> int:
 # ---------------------------------------------------------------------------
 # place enumeration
 
-def _kummer_census(F: FieldSpec, d: int, fibers, split_id: str,
-                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
-    """Count the places of z^d = f over the affine base points ``fibers``
-    yields as (coords, lf, n) in walk order, lf = log f there and n the
-    number of base points that share the fiber's verdict (1 unless the
-    family walks one representative per class of points).
+def _points(F: FieldSpec, coords: tuple, la: int, m: int):
+    """A class's points and their j: coords + (g^j,) for the roots g^j of
+    y^m = g^la by code, or coords alone (j = 0) when m = 0."""
+    if not m:
+        yield coords, 0
+        return
+    for j in sorted(root_logs(la, m, F.order - 1), key=F._exp.__getitem__):
+        yield coords + (F._exp[j],), j
 
-    lf is None where f has a zero or a pole: a fully ramified fiber, one
-    place with e = d.  Since d divides N = |F*|, any other fiber splits
-    into d places when f has d d-th roots there and is inert otherwise.
-    Each fiber adds n to its verdict's count, and its place is kept as a
-    sample while its class holds fewer than SAMPLES_PER_CLASS, with the
-    id formatted from coords (and, if split, the least z).  Returns the
-    census and the split and inert fiber counts.
+
+def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
+                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
+    """Count the places of z^d = f over the classes of affine base points
+    that ``classes`` yields as (coords, n, la, m, c) in walk order.
+
+    A class stands for n base points; its points are those of _points,
+    with log f = j + c, or a zero or pole of f where c is None (n fully
+    ramified places, e = d).  m divides N = |F*|, so the class has points
+    iff m divides la, and d divides N/m, the spacing of the roots, so the
+    root j = la/m decides the class: it splits into d n places when d
+    divides j + c and is inert otherwise.  Points are listed, and the
+    least z solved, only while PlaceCensus.add draws samples.  Returns the
+    census and the split and inert base point counts.
     """
-    N = F.order - 1
-    kept = {ZERO_OF_COVER: [], AFFINE_SPLIT: []}
-    ramified = split = inert = 0
-    for coords, lf, n in fibers:
-        if lf is None:
-            if len(kept[ZERO_OF_COVER]) < SAMPLES_PER_CLASS:
-                kept[ZERO_OF_COVER].append(Place(ramified_id.format(*coords), d))
-            ramified += n
-        elif len(root_logs(lf, d, N)) == d:
-            if len(kept[AFFINE_SPLIT]) < SAMPLES_PER_CLASS:
-                z = nth_roots(F, F._exp[lf], d)[0]
-                kept[AFFINE_SPLIT].append(Place(split_id.format(*coords, z), 1))
-            split += n
-        else:
-            inert += n
     census = PlaceCensus()
-    for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
-        if n:
-            census.counts[tag], census.samples[tag] = n, kept[tag]
+    split = inert = 0
+    for coords, n, la, m, c in classes:
+        if m and la % m:
+            continue  # y^m = g^la has no root
+        points = _points(F, coords, la, m)
+        if c is None:
+            census.add(ZERO_OF_COVER, n, samples=(
+                Place(ramified_id.format(*pt), d) for pt, _ in points))
+        elif ((la // m if m else 0) + c) % d:
+            inert += n
+        else:
+            split += n
+            census.add(AFFINE_SPLIT, d * n, samples=(Place(split_id.format(
+                *pt, nth_roots(F, F._exp[(j + c) % (F.order - 1)], d)[0]), 1)
+                for pt, j in points))
     return census, split, inert
 
 
@@ -262,33 +270,32 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     * den == 0 (forces y0 = 0): v(u) = v(y) + v(num) - v(den) = 1,
       again a simple zero of u, fully ramified, 1 place.
 
-    On logs (h = log(-1)) the walk takes the origin, then x0 = g^i in exp
-    order.  x0^qbar + x0 = x0 (1 + x0^(qbar-1)), so s = log den, one
-    one-plus lookup, also gives y0^(qbar+1) = g^(i+s) (s < 0: y0 = 0 only),
-    and num = -(1 + (-1) x0^(qbar^2-1)) is one more lookup per x0.
+    On logs (h = log(-1)) the walk takes the origin, then one class per
+    x0 = g^i in exp order.  s = log den, one one-plus lookup, also gives
+    y0^(qbar+1) = x0 (1 + x0^(qbar-1)) = g^(i+s) (s < 0: y0 = 0 only), and
+    num = -(1 + (-1) x0^(qbar^2-1)) is one more: log u = log y0 + h +
+    log num - s.
 
     The census only counts; the report judges it against Hasse-Weil.
     """
-    qbar = curve.params["qbar"]
-    F = curve.field
+    qbar, F = curve.params["qbar"], curve.field
     N, exp, one_plus = F.order - 1, F._exp, F._one_plus
     h = F._log[F.p - 1]
 
-    def fibers():
-        yield (0, 0), None, 1
+    def classes():
+        yield (0, 0), 1, 0, 0, None
         for i, x0 in enumerate(exp):
             s = one_plus[i * (qbar - 1) % N]
             if s < 0:
-                yield (x0, 0), None, 1
+                yield (x0, 0), 1, 0, 0, None
                 continue
             l_num = one_plus[(i * (qbar * qbar - 1) + h) % N]
-            for j in sorted(root_logs(i + s, qbar + 1, N), key=exp.__getitem__):
-                lu = None if l_num < 0 else (j + h + l_num - s) % N
-                yield (x0, exp[j]), lu, 1
+            yield ((x0,), qbar + 1, i + s, qbar + 1,
+                   None if l_num < 0 else h + l_num - s)
 
     census, split, inert = _kummer_census(
-        F, curve.params["d"], fibers(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
-    census.add(INFINITE, 1, Place("gk:P0", curve.params["d"]))
+        F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
+    census.add(INFINITE, 1, samples=[Place("gk:P0", curve.params["d"])])
     census.meta.update(split_fibers=split, inert_fibers=inert)
     return census
 
@@ -296,19 +303,18 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
 def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     """Census of z^16 = t(t+1)^6 over F_49.
 
-    Affine fibers are counted over t0 outside {0, -1}; the places over
-    t = 0, t = -1 and t = infinity (1 + 2 + 1 of them) are transcribed
-    from the principal-divisor data, not recomputed from the singular
-    plane model.  The census only counts; the report judges it.
+    Affine fibers are counted over t0 outside {0, -1}, one class each;
+    the places over t = 0, t = -1 and t = infinity (1 + 2 + 1 of them)
+    are transcribed from the principal-divisor data, not recomputed from
+    the singular plane model.  The census only counts; the report judges.
     """
-    F = curve.field
-    N, one_plus = F.order - 1, F._one_plus
-    fibers = (((t0,), (i + 6 * one_plus[i]) % N, 1)  # c = t0 (t0 + 1)^6
-              for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
-    census, split, _ = _kummer_census(F, 16, fibers, "gsx49:t={},z={}", "")
-    census.add(ZERO_OF_COVER, 1, Place("gsx49:P0", 1))   # over t=0
-    census.add(ZERO_OF_COVER, 2, Place("gsx49:P1", 1))   # over t=-1
-    census.add(INFINITE, 1, Place("gsx49:Pinf", 1))
+    F, one_plus = curve.field, curve.field._one_plus
+    classes = (((t0,), 1, 0, 0, i + 6 * one_plus[i])  # c = log t0 (t0 + 1)^6
+               for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
+    census, split, _ = _kummer_census(F, 16, classes, "gsx49:t={},z={}", "")
+    census.add(ZERO_OF_COVER, 1, samples=[Place("gsx49:P0", 1)])   # over t=0
+    census.add(ZERO_OF_COVER, 2, samples=[Place("gsx49:P1", 1)])   # over t=-1
+    census.add(INFINITE, 1, samples=[Place("gsx49:Pinf", 1)])
     census.meta["sixteenth_power_fibers"] = split
     return census
 
@@ -329,41 +335,35 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     m3 log(wab) (mod N), and since q+1 = 3 m3 divides N, q+1 divides it
     (the test for F_q) exactly when 3 divides log(wab).
 
-    The walk takes one a per class.  With N = q^2 - 1 and a = g^i,
+    The walk takes one class per a.  With N = q^2 - 1 and a = g^i,
     log(1 + a^m3) = one_plus[i m3 % N] depends only on i mod N/m3 =
-    3(q-1), so the a = g^i with i < 3(q-1) stand for all N values of a,
-    m3 each, with the same roots b.  Those m3 roots j of b^m3 = -(1 +
-    a^m3) are 3(q-1) apart, so they share j mod 3, and so do the i of a
-    class: the split test 3 | lw + i + j gives the whole class one
-    verdict.  Each fiber of a representative thus weighs m3 (the a = 0
-    fibers weigh 1); each root keeps its own fiber, so samples name it.
-    The representatives are the first 3(q-1) a of the full walk (zero,
-    then exp order), their roots in the same order, so this walk is a
-    prefix of the full one and keeps its samples as long as the prefix
-    holds SAMPLES_PER_CLASS fibers of each verdict that occurs.  It does:
-    a = 0 gives m3 ramified fibers and each class m3 fibers of its
-    verdict, m3 >= 3 for q >= 11, and at q = 5 the prefix holds 3
-    ramified and 10 split fibers.
+    3(q-1), a multiple of 3, so the a = g^i with i < 3(q-1) stand for all
+    N values of a, m3 each, with the same roots b and the same split test
+    3 | lw + i + j: a point (a, b) weighs m3 (a = 0's weigh 1).  Samples
+    still come from these points, the first 3(q-1) a of the full walk
+    (zero, then exp order) with their roots in the same order: a prefix of
+    its points, which keeps its samples while it holds SAMPLES_PER_CLASS
+    points of each verdict that occurs.  It does: a = 0 gives m3 ramified
+    points and each class m3 points of its verdict, m3 >= 3 for q >= 11,
+    and at q = 5 the prefix holds 3 ramified and 10 split points.
     """
     F, m3 = curve.field, (curve.q + 1) // 3
     N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
     h = log[F.p - 1]
     lw = log[curve.constants["w"]]
 
-    def fibers():
-        for j in sorted(root_logs(h, m3, N), key=exp.__getitem__):  # a = 0
-            yield (0, exp[j]), None, 1
+    def classes():
+        yield (0,), m3, h, m3, None  # a = 0
         for i, a in enumerate(exp[:N // m3]):  # i < 3(q-1)
             s = one_plus[i * m3 % N]
             if s < 0:  # b = 0
-                yield (a, 0), None, m3
-                continue
-            for j in sorted(root_logs(h + s, m3, N), key=exp.__getitem__):
-                yield (a, exp[j]), (lw + i + j) % N, m3
+                yield (a, 0), m3, 0, 0, None
+            else:
+                yield (a,), m3 * m3, h + s, m3, lw + i
 
-    census, _, inert = _kummer_census(F, 3, fibers(), "fk:a={},b={},z={}",
+    census, _, inert = _kummer_census(F, 3, classes(), "fk:a={},b={},z={}",
                                       "fk:a={},b={}")
-    census.add(INFINITE, m3, Place("fk:Pinf,1", 3))
+    census.add(INFINITE, m3, samples=[Place("fk:Pinf,1", 3)])
     census.meta["condition5_violations"] = inert
     census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)
                                             + census.counts[INFINITE])

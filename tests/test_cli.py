@@ -126,47 +126,61 @@ def verify_json(argv, capsys):
     return code, {c["name"]: c for c in rep["checks"]}
 
 
+def _census_fault(edit):
+    """A fault on curves._kummer_census: it counts edit(classes, d) instead
+    of the classes the walk yields."""
+    def fault(real):
+        def census(F, d, classes, *ids):
+            return real(F, d, edit(classes, d), *ids)
+        return census
+    return fault
+
+
+def _move_a_split_point(monkeypatch):
+    """Fault the census so one point of the first split class (all of a
+    single-point class) moves into an inert class of its own; the returned
+    list gets the class's coords when the fault fires."""
+    moved = []
+
+    def edit(classes, d):
+        for coords, n, la, m, c in classes:
+            if (not moved and c is not None and not (m and la % m)
+                    and ((la // m if m else 0) + c) % d == 0):
+                moved.append(coords)
+                w = n // (m or 1)  # the base points of one point
+                yield coords, n - w, la, m, c
+                yield coords, w, 0, 0, 1  # log f = 1: no d-th root
+            else:
+                yield coords, n, la, m, c
+
+    monkeypatch.setattr(curves, "_kummer_census",
+                        _census_fault(edit)(curves._kummer_census))
+    return moved
+
+
 class TestFaultsFailChecks:
     """A census that misses Hasse-Weil, or a scan that misses a non-gap,
     is a failed check (exit 1), not a usage error: the census and the
     scan count, and the report judges."""
 
     def test_gsx49_fiber_loses_its_roots(self, capsys, monkeypatch):
-        real, dropped = curves.root_logs, []
-
-        def lossy(la, n, N):
-            roots = real(la, n, N)
-            if n == 16 and roots and not dropped:
-                dropped.append(la)
-                return range(0)
-            return roots
-
-        monkeypatch.setattr(curves, "root_logs", lossy)
+        moved = _move_a_split_point(monkeypatch)
         code, checks = verify_json(["verify", "gsx49"], capsys)
-        assert dropped and code == 1
+        assert moved and code == 1
         assert not checks["maximality"]["passed"]
         assert checks["maximality"]["details"]["delta"] == -16
 
     def test_gk_fiber_loses_its_roots(self, capsys, monkeypatch):
-        # qbar = 3: d = 7, while the Hermitian walk takes 4th roots
+        # qbar = 3: d = 7, and each class holds the 4 points over one x
         _, out, _ = run_capture(["verify", "gk", "--qbar", "3", "--format", "json"],
                                 capsys)
         before = json.loads(out)["report"]["census"]["meta"]
-        real, dropped = curves.root_logs, []
-
-        def lossy(la, n, N):
-            roots = real(la, n, N)
-            if n == 7 and roots and not dropped:
-                dropped.append(la)
-                return range(0)
-            return roots
-
-        monkeypatch.setattr(curves, "root_logs", lossy)
+        moved = _move_a_split_point(monkeypatch)
         code, out, _ = run_capture(
             ["verify", "gk", "--qbar", "3", "--format", "json"], capsys)
         report = json.loads(out)["report"]
         checks = {c["name"]: c for c in report["checks"]}
-        assert dropped and code == 1
+        assert moved and code == 1
         assert report["census"]["meta"] == {
             "split_fibers": before["split_fibers"] - 1,
             "inert_fibers": before["inert_fibers"] + 1}
@@ -174,19 +188,10 @@ class TestFaultsFailChecks:
         assert checks["maximality"]["details"]["delta"] == -7
 
     def test_fk_split_violation(self, capsys, monkeypatch):
-        real, hit = curves.root_logs, []
-
-        def lossy(la, n, N):
-            roots = real(la, n, N)
-            if n == 3 and len(roots) == 3 and not hit:
-                hit.append(la)
-                return roots[:-1]
-            return roots
-
-        monkeypatch.setattr(curves, "root_logs", lossy)
+        moved = _move_a_split_point(monkeypatch)
         code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
-        assert hit and code == 1
-        # the faulted fiber stands for its class, (q+1)/3 = 2 base points
+        assert moved and code == 1
+        # the moved point stands for (q+1)/3 = 2 base points
         split = checks["split-condition-everywhere"]
         assert not split["passed"] and split["details"]["violations"] == 2
         assert checks["maximality"]["details"]["delta"] == -6
@@ -241,13 +246,10 @@ def _scan_drops(nongap):
     return fault
 
 
-def _a0_fibers_lose_a_root(real):
-    # b^m3 = -1 over a = 0 is root_logs(N/2, m3, N), m3 = 4 at q = 11; the
-    # first call with n = 4 is the w search, so aim at la instead
-    def lossy(la, n, N):
-        roots = real(la, n, N)
-        return roots[:-1] if (la, n) == (N // 2, 4) else roots
-    return lossy
+def _a0_class_loses_a_point(classes, d):
+    # the first class is a = 0, whose m3 points are all fully ramified
+    (coords, n, *rest), *others = classes
+    return [(coords, n - 1, *rest), *others]
 
 
 def _p0_beta_off_by_one(real):
@@ -274,7 +276,8 @@ class TestEveryCheckCanFail:
           "j2-at-Pinf", "frobenius-dimension"}),
         (["gsx49", "--inject-census-delta", "1"], None, None,
          {"sixteenth-power-fiber-count"}),
-        (["fk", "--q", "11"], (curves, "root_logs"), _a0_fibers_lose_a_root,
+        (["fk", "--q", "11"], (curves, "_kummer_census"),
+         _census_fault(_a0_class_loses_a_point),
          {"fully-ramified-count"}),
         (["fk", "--q", "11"], (curves, "divisor_of_monomial"), _p0_beta_off_by_one,
          {"distinguished-pole-order"}),

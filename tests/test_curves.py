@@ -1,6 +1,7 @@
 """Place censuses against closed-form point counts and brute oracles."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,19 +41,45 @@ class TestGenusFormulas:
         assert curves.maximal_N(5, 0) == 26
 
 
-def walked_fibers(monkeypatch, count, curve):
-    """The fibers ``count`` hands to the one Kummer census, as a list of
-    (coords, lf, n)."""
+def walked_classes(monkeypatch, count, curve):
+    """The classes ``count`` hands to the one Kummer census, as a list of
+    (coords, n, la, m, c)."""
     real, walked = curves._kummer_census, []
 
-    def spy(F, d, fibers, *ids):
-        walked.append(list(fibers))
+    def spy(F, d, classes, *ids):
+        walked.append(list(classes))
         return real(F, d, walked[-1], *ids)
 
     monkeypatch.setattr(curves, "_kummer_census", spy)
     count(curve)
     assert len(walked) == 1
     return walked[0]
+
+
+def class_points(F, cls):
+    """The points of one class in walk order, as (coords, lf): the roots
+    g^j of y^m = g^la by code with lf = (j + c) mod N, or the single point
+    coords with lf = c when m = 0; lf is None where the class is ramified."""
+    coords, _, la, m, c = cls
+    N, exp = F.order - 1, F._exp
+    points = ([(coords + (exp[j],), j)
+               for j in sorted(gf.root_logs(la, m, N), key=exp.__getitem__)]
+              if m else [(coords, 0)])
+    return [(pt, None if c is None else (j + c) % N) for pt, j in points]
+
+
+def walked_fibers(monkeypatch, count, curve):
+    """Each class ``count`` hands to the census expanded into its points,
+    as a list of (coords, lf, cls) in walk order."""
+    return [(coords, lf, cls)
+            for cls in walked_classes(monkeypatch, count, curve)
+            for coords, lf in class_points(curve.field, cls)]
+
+
+def assert_weights_are_point_counts(fibers):
+    """Each GK class with points stands for exactly those points."""
+    for (_, n, *_), k in Counter(cls for _, _, cls in fibers).items():
+        assert n == k
 
 
 def solved_roots(monkeypatch, count, curve):
@@ -74,7 +101,7 @@ class TestHermitianPoints:
     def test_origin_always_on_curve(self, monkeypatch):
         fibers = walked_fibers(monkeypatch, curves.count_gk_places,
                                curves.gk_curve(3))
-        assert fibers[0] == ((0, 0), None, 1)
+        assert fibers[0][:2] == ((0, 0), None)
 
     def test_count_f729(self, monkeypatch):
         fibers = walked_fibers(monkeypatch, curves.count_gk_places,
@@ -93,6 +120,7 @@ class TestHermitianPoints:
                     if y0 ** (qbar + 1) == x0 ** qbar + x0)
         assert len(fibers) == brute
         assert len({coords for coords, _, _ in fibers}) == brute
+        assert_weights_are_point_counts(fibers)
 
 
 class TestGKCensus:
@@ -189,11 +217,11 @@ class TestFKCensus:
 
     @pytest.mark.parametrize("q", FK_CATALOG)
     def test_walks_fewer_fibers_than_field_elements(self, monkeypatch, q):
-        # one representative a per class of a^((q+1)/3): about q^2/3 fibers,
-        # against q^3/9 for a walk over every base point
-        fibers = walked_fibers(monkeypatch, curves.count_fk_places,
-                               curves.fk_curve(q))
-        assert len(fibers) < q * q - 1
+        # one class per representative a of a^((q+1)/3), plus a = 0: at most
+        # 3(q-1) + 1 classes, against q^3/9 points for a walk over every one
+        classes = walked_classes(monkeypatch, curves.count_fk_places,
+                                 curves.fk_curve(q))
+        assert len(classes) <= 3 * (q - 1) + 1
 
 
 def reference_census(curve):
@@ -210,16 +238,17 @@ def reference_census(curve):
             den = x0 ** (qbar - 1) + 1
             t = y0 * (x0 ** (qbar * qbar - 1) - 1)
             if den.is_zero() or t.is_zero():
-                census.add(zero, 1, Place(f"gk:x={x0.code},y={y0.code},z=0", d))
+                census.add(zero, 1, samples=[
+                    Place(f"gk:x={x0.code},y={y0.code},z=0", d)])
                 continue
             roots = element_roots(t / den, d)
             if roots:
                 split_fibers += 1
-                census.add(split, len(roots), Place(
-                    f"gk:x={x0.code},y={y0.code},z={roots[0].code}", 1))
+                census.add(split, len(roots), samples=[Place(
+                    f"gk:x={x0.code},y={y0.code},z={roots[0].code}", 1)])
             else:
                 inert_fibers += 1
-        census.add(inf, 1, Place("gk:P0", d))
+        census.add(inf, 1, samples=[Place("gk:P0", d)])
         census.meta.update(split_fibers=split_fibers, inert_fibers=inert_fibers)
     elif curve.family == "GSX49":
         fibers = 0
@@ -229,11 +258,11 @@ def reference_census(curve):
             roots = element_roots(t0 * (t0 + 1) ** 6, 16)
             if roots:
                 fibers += 1
-                census.add(split, len(roots),
-                           Place(f"gsx49:t={t0.code},z={roots[0].code}", 1))
-        census.add(zero, 1, Place("gsx49:P0", 1))
-        census.add(zero, 2, Place("gsx49:P1", 1))
-        census.add(inf, 1, Place("gsx49:Pinf", 1))
+                census.add(split, len(roots), samples=[
+                    Place(f"gsx49:t={t0.code},z={roots[0].code}", 1)])
+        census.add(zero, 1, samples=[Place("gsx49:P0", 1)])
+        census.add(zero, 2, samples=[Place("gsx49:P1", 1)])
+        census.add(inf, 1, samples=[Place("gsx49:Pinf", 1)])
         census.meta["sixteenth_power_fibers"] = fibers
     else:
         q, w = curve.q, FieldElement(F, curve.constants["w"])
@@ -242,20 +271,29 @@ def reference_census(curve):
         for a in enumerate_field(F):
             for b in element_roots(-1 - a ** m3, m3):
                 if a.is_zero() or b.is_zero():
-                    census.add(zero, 1, Place(f"fk:a={a.code},b={b.code}", 3))
+                    census.add(zero, 1, samples=[Place(f"fk:a={a.code},b={b.code}", 3)])
                     continue
                 roots = element_roots(w * a * b, 3)
                 if (len(roots) != 3
                         or not is_in_subfield(3 * (a * b) ** m3, F.k // 2)):
                     violations += 1
                     continue
-                census.add(split, 3, Place(
-                    f"fk:a={a.code},b={b.code},z={roots[0].code}", 1))
-        census.add(inf, m3, Place("fk:Pinf,1", 3))
+                census.add(split, 3, samples=[Place(
+                    f"fk:a={a.code},b={b.code},z={roots[0].code}", 1)])
+        census.add(inf, m3, samples=[Place("fk:Pinf,1", 3)])
         census.meta["condition5_violations"] = violations
         census.meta["fully_ramified_places"] = (census.counts.get(zero, 0)
                                                 + census.counts[inf])
     return census
+
+
+def catalog_census(family, param):
+    """The census function and curve of one catalog entry."""
+    if family == "gk":
+        return curves.count_gk_places, curves.gk_curve(param)
+    if family == "gsx49":
+        return curves.count_gsx49_places, curves.gsx49_curve()
+    return curves.count_fk_places, curves.fk_curve(param)
 
 
 CENSUS_CASES = ([("gk", qbar) for qbar in (2, 3, 4)] + [("gsx49", None)]
@@ -265,12 +303,7 @@ CENSUS_CASES = ([("gk", qbar) for qbar in (2, 3, 4)] + [("gsx49", None)]
 class TestReferenceCensus:
     @pytest.mark.parametrize("family,param", CENSUS_CASES)
     def test_matches_reference_census(self, family, param):
-        if family == "gk":
-            curve, count = curves.gk_curve(param), curves.count_gk_places
-        elif family == "gsx49":
-            curve, count = curves.gsx49_curve(), curves.count_gsx49_places
-        else:
-            curve, count = curves.fk_curve(param), curves.count_fk_places
+        count, curve = catalog_census(family, param)
         assert count(curve).to_fragment() == reference_census(curve).to_fragment()
 
     @pytest.mark.parametrize("q", [5, 11, 17, 41])
@@ -287,7 +320,7 @@ class TestReferenceCensus:
         fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
         assert [coords for coords, _, _ in fibers] == [
             (x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
-        assert {n for _, _, n in fibers} == {1}
+        assert_weights_are_point_counts(fibers)
 
     @pytest.mark.parametrize("count,curve,d", [
         (curves.count_gk_places, lambda: curves.gk_curve(3), 7),
@@ -304,8 +337,7 @@ class TestReferenceCensus:
         F, N = model.field, model.field.order - 1
         fibers = walked_fibers(monkeypatch, count, model)
         census, calls = solved_roots(monkeypatch, count, model)
-        split = [lf for _, lf, _ in fibers
-                 if lf is not None and len(gf.root_logs(lf, d, N)) == d]
+        split = [lf for _, lf, _ in fibers if lf is not None and lf % d == 0]
         kept = split[:curves.SAMPLES_PER_CLASS]
         samples = census.samples[curves.AFFINE_SPLIT]
         assert kept and calls == [(F._exp[lf], d) for lf in kept]
@@ -313,6 +345,41 @@ class TestReferenceCensus:
         for lf, place in zip(kept, samples):
             z = min(F._exp[j] for j in gf.root_logs(lf, d, N))
             assert place.id.endswith(f",z={z}")
+
+
+class TestClassCensus:
+    """Each class gets one verdict by divisibility; roots only name samples."""
+
+    @pytest.mark.parametrize("family,param", [("gk", qbar) for qbar in (2, 3, 4)]
+                             + [("gsx49", None)] + [("fk", q) for q in FK_CATALOG])
+    def test_lists_roots_only_for_samples(self, monkeypatch, family, param):
+        count, curve = catalog_census(family, param)
+        real, calls = curves.root_logs, []
+
+        def spy(la, n, N):
+            calls.append((la, n))
+            return real(la, n, N)
+
+        monkeypatch.setattr(curves, "root_logs", spy)
+        count(curve)
+        # at most one class per kept sample, of the two tags the walk samples
+        assert len(calls) <= 2 * curves.SAMPLES_PER_CLASS
+
+    @pytest.mark.parametrize("family,param", [("gk", qbar) for qbar in (2, 3, 4)]
+                             + [("fk", q) for q in FK_CATALOG])
+    def test_every_point_of_a_class_shares_its_verdict(self, monkeypatch, family,
+                                                       param):
+        count, curve = catalog_census(family, param)
+        F, d = curve.field, curve.params.get("d", 3)
+        N = F.order - 1
+        decided = 0
+        for coords, n, la, m, c in walked_classes(monkeypatch, count, curve):
+            if not m or c is None or la % m:
+                continue
+            decided += 1
+            # the class's lf is its root j = la/m plus c
+            assert {(j + c) % d for j in gf.root_logs(la, m, N)} == {(la // m + c) % d}
+        assert decided
 
 
 class TestDivisors:

@@ -328,6 +328,20 @@ class TestTheoremReports:
         assert rep.passing
         assert rep.epsilon_sequence == [0, 1, 4, 64]
 
+    @pytest.mark.parametrize("make,total", [
+        (lambda: curves.gk_curve(5), 378126),
+        (lambda: curves.fk_curve(89), 240390),
+        (lambda: curves.fk_curve(125), 661626),  # the first FK q not prime
+    ], ids=["gk5", "fk89", "fk125"])
+    def test_passes_beyond_the_catalog(self, monkeypatch, make, total):
+        # fields up to 5^6 elements: the census still lands on Hasse-Weil
+        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)
+        monkeypatch.setattr(curves, "FIELD_CAP", 5 ** 6)
+        rep = verify.theorem_report(make())
+        assert rep.passing
+        assert rep.census["total"] == total == curves.maximal_N(
+            rep.q, rep.genus["formula"])
+
     def test_census_delta_breaks_the_weight(self, capsys):
         argv = ["verify", "gk", "--qbar", "2", "--inject-census-delta", "1"]
         assert cli.run(argv + ["--format", "json"]) == 1
