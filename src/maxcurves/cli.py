@@ -112,18 +112,20 @@ def _parse_gens(spec: str) -> list[int]:
     return gens
 
 
-def _emit(payload: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, body: dict, text):
+    """Write the versioned JSON document of body under --format json, or
+    the string text() returns, to --out or stdout; only the printed
+    format is rendered."""
+    if args.format == "json":
+        payload = json.dumps({"schema_version": SCHEMA_VERSION,
+                              "tool_version": __version__, **body}, indent=2)
+    else:
+        payload = text()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
-
-
-def _json_doc(body: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}
-    doc.update(body)
-    return json.dumps(doc, indent=2, sort_keys=False)
 
 
 def _cmd_verify(args) -> int:
@@ -134,10 +136,7 @@ def _cmd_verify(args) -> int:
     else:
         curve = curves.fk_curve(args.q)
     report = verify.theorem_report(curve, census_delta=args.inject_census_delta)
-    if args.format == "json":
-        _emit(_json_doc({"report": report.to_dict()}), args.out)
-    else:
-        _emit(verify.text_report(report), args.out)
+    _emit(args, {"report": report.to_dict()}, lambda: verify.text_report(report))
     return 0 if report.passing else 1
 
 
@@ -148,9 +147,8 @@ def _cmd_semigroup(args) -> int:
     frag = S.to_fragment()
     if args.upto is not None:
         frag["nongaps"] = numsg.nongaps_upto(S, args.upto)
-    if args.format == "json":
-        _emit(_json_doc({"semigroup": frag}), args.out)
-    else:
+
+    def text():
         lines = [f"generators: {list(S.generators)}",
                  f"genus (gap count): {S.genus}",
                  f"conductor: {S.conductor}"]
@@ -160,7 +158,9 @@ def _cmd_semigroup(args) -> int:
             lines.append(f"gaps: ({S.genus} entries, elided)")
         if args.upto is not None:
             lines.append(f"non-gaps up to {args.upto}: {frag['nongaps']}")
-        _emit("\n".join(lines), args.out)
+        return "\n".join(lines)
+
+    _emit(args, {"semigroup": frag}, text)
     return 0
 
 
@@ -168,11 +168,9 @@ def _cmd_orders(args) -> int:
     S = numsg.semigroup_from_generators(_parse_gens(args.gens))
     seq = numsg.rational_point_orders(S, args.q)
     r = len(seq) - 1
-    if args.format == "json":
-        _emit(_json_doc({"orders": list(seq), "dimension": r,
-                         "q": args.q, "generators": list(S.generators)}), args.out)
-    else:
-        _emit(f"dimension r = {r}\norder sequence: {tuple(seq)}", args.out)
+    _emit(args, {"orders": list(seq), "dimension": r, "q": args.q,
+                 "generators": list(S.generators)},
+          lambda: f"dimension r = {r}\norder sequence: {tuple(seq)}")
     return 0
 
 
@@ -180,23 +178,19 @@ def _cmd_bound(args) -> int:
     raw_num, raw_den = verify.castelnuovo_terms(args.q, args.r)
     d = math.gcd(raw_num, raw_den)
     num, den = raw_num // d, raw_den // d
-    if args.format == "json":
-        _emit(_json_doc({"q": args.q, "r": args.r,
-                         "bound": {"numerator": num, "denominator": den}}), args.out)
-    else:
-        pretty = str(num) if den == 1 else f"{num}/{den}"
-        _emit(f"{raw_num}/{raw_den} = {pretty}", args.out)
+    _emit(args, {"q": args.q, "r": args.r,
+                 "bound": {"numerator": num, "denominator": den}},
+          lambda: f"{raw_num}/{raw_den} = "
+          + (str(num) if den == 1 else f"{num}/{den}"))
     return 0
 
 
 def _cmd_deduce_dim(args) -> int:
     dims = sorted(verify.deduce_frobenius_dimension(args.q, args.g))
-    if args.format == "json":
-        _emit(_json_doc({"q": args.q, "g": args.g, "dimensions": dims,
-                         "conclusive": len(dims) == 1}), args.out)
-    else:
-        note = "" if len(dims) == 1 else "  (inconclusive)"
-        _emit(f"candidate dimensions: {dims}{note}", args.out)
+    _emit(args, {"q": args.q, "g": args.g, "dimensions": dims,
+                 "conclusive": len(dims) == 1},
+          lambda: f"candidate dimensions: {dims}"
+          + ("" if len(dims) == 1 else "  (inconclusive)"))
     return 0
 
 

@@ -21,7 +21,8 @@ from itertools import islice, product
 from math import gcd
 from operator import mul
 
-from .gf import FIELD_CAP, FieldSpec, make_field, nth_roots, prime_power, root_logs
+from .gf import (FieldSpec, check_field_size, make_field, nth_roots, prime_power,
+                 root_logs)
 
 # census class tags
 AFFINE_SPLIT = "affine-split"
@@ -135,26 +136,21 @@ def maximal_N(q: int, g: int) -> int:
     return q * q + 1 + 2 * g * q
 
 
-def _validate_fk_q(q: int):
-    p, _ = prime_power(q)
+def _validate_fk_q(q: int) -> tuple[int, int]:
+    """(p, n) with q = p^n, for an odd prime power q = 2 mod 3."""
+    p, n = prime_power(q)
     if p == 2 or q % 2 == 0:
         raise ValueError("q must be odd")
     if q % 3 != 2:
         raise ValueError("q must be 2 mod 3")
+    return p, n
 
 
 # ---------------------------------------------------------------------------
 # curve constructors
 
-def _check_field_size(base: int, k: int):
-    """Reject a field of base^k elements above FIELD_CAP before
-    anything factors base, which takes sqrt(base) steps."""
-    if base ** k > FIELD_CAP:
-        raise ValueError(f"field size {base}^{k} exceeds cap {FIELD_CAP}")
-
-
 def gk_curve(qbar: int) -> CurveModel:
-    _check_field_size(qbar, 6)
+    check_field_size(qbar, 6)
     p, n = prime_power(qbar)
     F = make_field(p, 6 * n)  # F_{qbar^6} = F_{q^2} with q = qbar^3
     q = qbar ** 3
@@ -183,9 +179,8 @@ def gsx49_curve() -> CurveModel:
 
 
 def fk_curve(q: int) -> CurveModel:
-    _check_field_size(q, 2)
-    _validate_fk_q(q)
-    p, n = prime_power(q)
+    check_field_size(q, 2)
+    p, n = _validate_fk_q(q)
     F = make_field(p, 2 * n)
     w = _fk_constant_w(F, q)
     m3 = (q + 1) // 3
@@ -312,9 +307,10 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     classes = (((t0,), 1, 0, 0, i + 6 * one_plus[i])  # c = log t0 (t0 + 1)^6
                for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
     census, split, _ = _kummer_census(F, 16, classes, "gsx49:t={},z={}", "")
-    census.add(ZERO_OF_COVER, 1, samples=[Place("gsx49:P0", 1)])   # over t=0
-    census.add(ZERO_OF_COVER, 2, samples=[Place("gsx49:P1", 1)])   # over t=-1
-    census.add(INFINITE, 1, samples=[Place("gsx49:Pinf", 1)])
+    # e = 16/gcd(16, v(f)) with v(f) = 1, 6, -7 over t = 0, -1, infinity
+    census.add(ZERO_OF_COVER, 1, samples=[Place("gsx49:P0", 16)])
+    census.add(ZERO_OF_COVER, 2, samples=[Place("gsx49:P1", 8)])
+    census.add(INFINITE, 1, samples=[Place("gsx49:Pinf", 16)])
     census.meta["sixteenth_power_fibers"] = split
     return census
 

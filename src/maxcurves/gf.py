@@ -247,6 +247,16 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 # module operations
 
+def check_field_size(base: int, k: int):
+    """Reject a field of base^k elements above FIELD_CAP, the one check
+    of the cap.  Callers run it before anything factors base, which
+    takes sqrt(base) steps."""
+    if k < 1:  # before base ** k, which is a float for k < 0
+        raise ValueError("extension degree must be positive")
+    if base ** k > FIELD_CAP:
+        raise ValueError(f"field size {base}^{k} exceeds cap {FIELD_CAP}")
+
+
 def make_field(p: int, k: int) -> FieldSpec:
     """Build F_{p^k} deterministically.
 
@@ -254,12 +264,9 @@ def make_field(p: int, k: int) -> FieldSpec:
     degree k over F_p (constant coefficient compared first); the
     generator is the smallest code of full multiplicative order.
     """
+    check_field_size(p, k)
     if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("extension degree must be positive")
-    if p ** k > FIELD_CAP:
-        raise ValueError(f"field size {p}^{k} exceeds cap {FIELD_CAP}")
     modulus = _lex_smallest_irreducible(p, k)
     generator = _find_generator(p, k, modulus)
     return FieldSpec(p, k, modulus, generator)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import cli, curves, gf, numsg
+from maxcurves import cli, curves, gf, numsg, verify
 
 
 def run_capture(argv, capsys):
@@ -259,6 +259,11 @@ def _p0_beta_off_by_one(real):
     return lossy
 
 
+def _pinf_j2_is_5(real):
+    # 5 is not among the j_2 values {2, 3, 4} allowed at q = 7
+    return lambda S, q: (0, 1, 5, 8)
+
+
 def _ramified_gains_20(real):
     def widened(gens):
         gens = tuple(gens)
@@ -283,8 +288,10 @@ class TestEveryCheckCanFail:
          {"distinguished-pole-order"}),
         (["gk", "--qbar", "3"], (numsg, "semigroup_from_generators"),
          _ramified_gains_20, {"ramified-semigroup-gap-count", "ramified-orders"}),
+        (["gsx49"], (numsg, "rational_point_orders"), _pinf_j2_is_5,
+         {"j2-at-Pinf", "j2-values-allowed"}),
     ], ids=["gsx49-scan-drops-5", "gsx49-census-delta", "fk11-a0-fiber-root",
-            "fk11-pole-order", "gk3-extra-generator"])
+            "fk11-pole-order", "gk3-extra-generator", "gsx49-pinf-j2-is-5"])
     def test_fault_fails_its_checks(self, capsys, monkeypatch, argv, target,
                                     fault, failed):
         if target:
@@ -328,6 +335,16 @@ class TestVerifyOutput:
             assert cli.run(["verify", "fk", "--q", "11", "--format", "json",
                             "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_only_the_printed_format_is_rendered(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "text_report", lambda rep: calls.append(rep) or "")
+        code, out, _ = run_capture(["verify", "fk", "--q", "5", "--format", "json"],
+                                   capsys)
+        assert code == 0 and json.loads(out)["report"]["passing"] is True
+        assert calls == []
+        assert run_capture(["verify", "fk", "--q", "5"], capsys)[0] == 0
+        assert len(calls) == 1
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,9 +261,9 @@ def reference_census(curve):
                 fibers += 1
                 census.add(split, len(roots), samples=[
                     Place(f"gsx49:t={t0.code},z={roots[0].code}", 1)])
-        census.add(zero, 1, samples=[Place("gsx49:P0", 1)])
-        census.add(zero, 2, samples=[Place("gsx49:P1", 1)])
-        census.add(inf, 1, samples=[Place("gsx49:Pinf", 1)])
+        census.add(zero, 1, samples=[Place("gsx49:P0", 16)])
+        census.add(zero, 2, samples=[Place("gsx49:P1", 8)])
+        census.add(inf, 1, samples=[Place("gsx49:Pinf", 16)])
         census.meta["sixteenth_power_fibers"] = fibers
     else:
         q, w = curve.q, FieldElement(F, curve.constants["w"])
@@ -298,6 +299,30 @@ def catalog_census(family, param):
 
 CENSUS_CASES = ([("gk", qbar) for qbar in (2, 3, 4)] + [("gsx49", None)]
                 + [("fk", q) for q in (5, 11, 17, 23, 29, 41)])
+
+
+class TestRamificationIndex:
+    def test_gsx49_places_over_zeros_and_poles_of_f(self):
+        # z^16 = t(t+1)^6: v(f) is 1, 6 and -7 over t = 0, -1 and infinity,
+        # with gcd(16, v) places of index 16/gcd(16, v) over each
+        census = curves.count_gsx49_places(curves.gsx49_curve())
+        e = {pl.id: pl.e for kept in census.samples.values() for pl in kept}
+        over = {"gsx49:P0": 1, "gsx49:P1": 6, "gsx49:Pinf": -7}
+        assert {pid: e[pid] for pid in over} == {
+            pid: 16 // gcd(16, v) for pid, v in over.items()} == {
+            "gsx49:P0": 16, "gsx49:P1": 8, "gsx49:Pinf": 16}
+        assert census.counts[curves.ZERO_OF_COVER] == gcd(16, 1) + gcd(16, 6)
+        assert census.counts[curves.INFINITE] == gcd(16, -7)
+        # v(t+1) = e v_t(t+1) upstairs, as the divisor table records
+        table = curves.gsx49_divisor_table().places
+        assert (table["P1"][1], table["Pinf"][1]) == (e["gsx49:P1"], -e["gsx49:Pinf"])
+
+    @pytest.mark.parametrize("family,param", CENSUS_CASES)
+    def test_ramified_and_infinite_samples_ramify(self, family, param):
+        count, curve = catalog_census(family, param)
+        samples = count(curve).samples
+        for tag in (curves.ZERO_OF_COVER, curves.INFINITE):
+            assert samples[tag] and all(pl.e > 1 for pl in samples[tag])
 
 
 class TestReferenceCensus:

@@ -46,12 +46,21 @@ class TestMakeField:
 
     @pytest.mark.parametrize("p,k", [
         (0, 1), (1, 1), (4, 1), (6, 2), (9, 1),  # p not prime
-        (7, 0),                                  # degree not positive
+        (7, 0), (7, -1),                         # degree not positive
         (2, 13), (5503, 1),                      # p^k above FIELD_CAP
     ])
     def test_rejects_bad_input(self, p, k):
         with pytest.raises(ValueError):
             gf.make_field(p, k)
+
+    def test_cap_is_checked_before_factoring(self, monkeypatch):
+        # trial division of this prime takes sqrt(p) steps, seconds
+        calls = []
+        monkeypatch.setattr(gf, "factorize", lambda n: calls.append(n) or {n: 1})
+        with pytest.raises(ValueError, match=r"^field size 100000000000031\^1 "
+                                             r"exceeds cap 5500$"):
+            gf.make_field(100000000000031, 1)
+        assert calls == []
 
     def test_cap_admits_4096(self):
         assert gf.FIELD_CAP >= 4096

@@ -1,6 +1,7 @@
 """Byte-identity of the CLI output: the SHA-256 of ``cli.run`` stdout and
 the exit code for every catalog entry in ``--format json``, two text
-reports and one injected census fault.
+reports, one injected census fault, and each query command in both
+formats.
 
 Regenerate a digest only for an output change that is intended, and say
 so in the change note: ``PYTHONPATH=src python tests/test_golden.py``
@@ -19,7 +20,12 @@ CATALOG = (["gk --qbar 2", "gk --qbar 3", "gk --qbar 4", "gsx49"]
            + [f"fk --q {q}" for q in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)])
 ARGVS = ([f"verify {c} --format json" for c in CATALOG]
          + ["verify gk --qbar 2 --format text", "verify fk --q 11 --format text",
-            "verify gk --qbar 2 --inject-census-delta 1"])
+            "verify gk --qbar 2 --inject-census-delta 1"]
+         # gaps elided, --upto, an unreduced bound, an inconclusive deduction
+         + [f"{q} --format {fmt}" for q in (
+             "semigroup --gens 21,27,28", "semigroup --gens 5,7,8 --upto 12",
+             "orders --gens 5,7,8 --q 7", "bound --q 11 --r 4",
+             "deduce-dim --q 27 --g 99") for fmt in ("json", "text")])
 
 GOLDEN = {
     "verify gk --qbar 2 --format json":
@@ -29,7 +35,7 @@ GOLDEN = {
     "verify gk --qbar 4 --format json":
         (0, "bda2bcddd2d304e75987f8212eec0955fdf145d05e55ddf1bb93482d6182fefe"),
     "verify gsx49 --format json":
-        (0, "8b25e662f0c4059f8f271b2524077542c61b5ae41e7eada270c320c4b1724fcb"),
+        (0, "ca440c5f6b5168c8d97cd0bc6e62a6d3fa450e79e97dcf023025ad7046fc454d"),
     "verify fk --q 5 --format json":
         (0, "3c06bac74582e1d532e63e41294c61ac189a27a6727458d18591b1e05e1426cc"),
     "verify fk --q 11 --format json":
@@ -56,6 +62,26 @@ GOLDEN = {
         (0, "d375dbed8e39929f23ece32fb55459ff4052f4fe7dfe5bbcf6d178abe5aaa30b"),
     "verify gk --qbar 2 --inject-census-delta 1":
         (1, "86a418b204a595f6357125c4059f52c6eaeda2c220ce9c5db9ffa759e7e59cb0"),
+    "semigroup --gens 21,27,28 --format json":
+        (0, "b8350c6652f1c3f21b59e341ed5b82dc29c182bfe229c8ad53de3ede7d240495"),
+    "semigroup --gens 21,27,28 --format text":
+        (0, "499a03ff994d7b8b972caae76d8b6b8e0f9f0bdafb41bf6ad77db587a9177ef0"),
+    "semigroup --gens 5,7,8 --upto 12 --format json":
+        (0, "6fdc4c423827b2757b4d3e1b2b0ba112f32009fc74d406294ed5ab351e662190"),
+    "semigroup --gens 5,7,8 --upto 12 --format text":
+        (0, "5c1e4d0f607a28ca828bab3f1da974b043f3c24d7c49db6882f430bf880895db"),
+    "orders --gens 5,7,8 --q 7 --format json":
+        (0, "84233d47aeaf28c8da0917d9c96011550490083158bbff80bcbc300ca7fea1c4"),
+    "orders --gens 5,7,8 --q 7 --format text":
+        (0, "b4963f6a090764d91bf5e26c08e8d5190c192f3f606c4878d9775b16a533e033"),
+    "bound --q 11 --r 4 --format json":
+        (0, "4d7e238d12e9571b6d516f823c2eee3091b29496907cbd8129e51508b7b610ff"),
+    "bound --q 11 --r 4 --format text":
+        (0, "8853a9be530b1ca7784e1e4added7b441363290215abc5e09b6e90d45cdf8963"),
+    "deduce-dim --q 27 --g 99 --format json":
+        (0, "666981e9eb6d94a768ee7e803dcc942b9a78c13e62b8218d465ecfa0fd0eae88"),
+    "deduce-dim --q 27 --g 99 --format text":
+        (0, "6b1d725cfdab0c924b96a8542f3611e3cf5fe09ed81c1dbd5d801b4b2afb0e67"),
 }
 
 
