@@ -367,17 +367,17 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 
 
 # ---------------------------------------------------------------------------
-# principal divisors as integer valuation rows
+# principal divisors as integer valuation rows per place class
 
 class PrincipalDivisorTable:
-    """Principal divisors of named function symbols, as an integer
-    matrix: ``places[pid][i]`` is the valuation of ``symbols[i]`` at the
-    place ``pid``."""
+    """Principal divisors of named function symbols, by place class:
+    ``places[pid] = (n, row)`` stands for n places at each of which
+    ``symbols[i]`` has valuation ``row[i]``."""
 
-    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple[int, ...]]):
+    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple]):
         self.symbols, self.places = symbols, places
         for i, sym in enumerate(self.symbols):
-            deg = sum(row[i] for row in self.places.values())
+            deg = sum(n * row[i] for n, row in self.places.values())
             if deg != 0:
                 raise ValueError(f"divisor of {sym} has degree {deg} != 0")
 
@@ -386,53 +386,42 @@ def gsx49_divisor_table() -> PrincipalDivisorTable:
     """(z) = 3(P1 + P2) + P0 - 7 Pinf and (t+1) = 8(P1 + P2) - 16 Pinf."""
     return PrincipalDivisorTable(
         symbols=("z", "t+1"),
-        places={"P1": (3, 8), "P2": (3, 8), "P0": (1, 0), "Pinf": (-7, -16)},
+        places={"P1,P2": (2, (3, 8)), "P0": (1, (1, 0)), "Pinf": (1, (-7, -16))},
+    )
+
+
+def gk_divisor_table(qbar: int) -> PrincipalDivisorTable:
+    """Divisors of x, y and z on the GK curve, d = qb^2 - qb + 1: every
+    place above a zero or pole of u is fully ramified, so v(z) = v_H(u),
+    v(x) = d v_H(x) and v(y) = d v_H(y) at P0 (the pole of x), the origin,
+    the qb - 1 places (a, 0) with a^(qb-1) = -1 and the qb^3 - qb other
+    zeros of u (x0^(qb^2-1) = 1, y0 != 0).  The distinguished place is P0."""
+    d = qbar * qbar - qbar + 1
+    return PrincipalDivisorTable(
+        symbols=("x", "y", "z"),
+        places={"P0": (1, (-(qbar + 1) * d, -qbar * d, -qbar ** 3)),
+                "origin": (1, ((qbar + 1) * d, d, 1)),
+                "(a,0)": (qbar - 1, (0, d, 1)),
+                "zeros-of-u": (qbar ** 3 - qbar, (0, 0, 1))},
     )
 
 
 def fk_divisor_table(q: int) -> PrincipalDivisorTable:
     """Divisors of x and y - beta pulled back to the degree-3 cover.
 
-    On the base, x has (q+1)/3 simple zeros P_{0,beta'} (beta' ranging
-    over the roots of beta'^((q+1)/3) = -1) and (q+1)/3 simple poles;
-    (y - beta)_0 = ((q+1)/3) P_{0,beta}.  All of these places are fully
-    ramified, so multiplicities triple upstairs and each base place has
-    a single place above it.  The distinguished place is "P0_beta".
+    On the base, x has (q+1)/3 simple zeros, P_{0,beta} and the P_{0,beta'}
+    (beta' != beta with beta'^((q+1)/3) = -1), and (q+1)/3 simple poles
+    Pinf; (y - beta)_0 = ((q+1)/3) P_{0,beta}.  All of these places are
+    fully ramified, so multiplicities triple upstairs and each base place
+    has a single place above it.  The distinguished place is "P0_beta".
     """
     _validate_fk_q(q)
     m3 = (q + 1) // 3
-    places = {"P0_beta": (3, q + 1)}
-    places.update({f"P0_beta{i}": (3, 0) for i in range(1, m3)})
-    places.update({f"Pinf{i}": (-3, -3) for i in range(m3)})
-    return PrincipalDivisorTable(symbols=("x", "y-beta"), places=places)
-
-
-def _rows(table: PrincipalDivisorTable, symbols) -> dict[str, tuple[int, ...]]:
-    """Each place's valuation row restricted to the given symbols, in
-    their order."""
-    unknown = [s for s in symbols if s not in table.symbols]
-    if unknown:
-        raise ValueError(f"unknown symbol {unknown[0]!r} in divisor table")
-    cols = [table.symbols.index(s) for s in symbols]
-    return {pid: tuple(row[c] for c in cols) for pid, row in table.places.items()}
-
-
-def _valuation(row: tuple[int, ...], exponents) -> int:
-    """Valuation of a monomial at a place, from the place's row."""
-    return sum(map(mul, row, exponents))
-
-
-def divisor_of_monomial(table: PrincipalDivisorTable,
-                        exponents: dict[str, int]) -> dict[str, int]:
-    """Divisor of prod(symbol^exponent) over the table, as place id ->
-    valuation with the zero valuations left out; its degree is 0."""
-    exps = tuple(exponents.values())
-    out = {}
-    for pid, row in _rows(table, exponents).items():
-        v = _valuation(row, exps)
-        if v:
-            out[pid] = v
-    return out
+    return PrincipalDivisorTable(
+        symbols=("x", "y-beta"),
+        places={"P0_beta": (1, (3, q + 1)), "P0_beta'": (m3 - 1, (3, 0)),
+                "Pinf": (m3, (-3, -3))},
+    )
 
 
 def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
@@ -446,22 +435,28 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
     monomial as explicit witness; the first monomial in ``product``
     order over ``ranges`` is kept per pole.  q and q+1 are always
     non-gaps at a rational place of a maximal curve and are included
-    with a marker witness.
+    with a marker witness.  ``target`` must be a class of one place.
 
     Returns {"nongaps": sorted list, "witnesses": {n: exponent map or
     "maximality"}}.
     """
-    if target not in table.places:
-        raise ValueError(f"target {target!r} does not appear in the table")
+    if table.places.get(target, (0,))[0] != 1:
+        raise ValueError(f"target {target!r} is not one place of the table")
     symbols = list(ranges)
-    rows = _rows(table, symbols)
+    unknown = [s for s in symbols if s not in table.symbols]
+    if unknown:
+        raise ValueError(f"unknown symbol {unknown[0]!r} in divisor table")
+    cols = [table.symbols.index(s) for s in symbols]
+    # each class's valuation row restricted to the scanned symbols
+    rows = {pid: tuple(row[c] for c in cols)
+            for pid, (_, row) in table.places.items()}
     at_target = rows.pop(target)
-    others = set(rows.values())  # two distinct rows for each built-in table
+    others = set(rows.values())
     witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
     for exps in product(*ranges.values()):
-        pole = -_valuation(at_target, exps)
+        pole = -sum(map(mul, at_target, exps))
         if (pole > 0 and pole not in witnesses
-                and all(_valuation(row, exps) >= 0 for row in others)):
+                and all(sum(map(mul, row, exps)) >= 0 for row in others)):
             witnesses[pole] = dict(zip(symbols, exps))
     for n in (q, q + 1):
         witnesses.setdefault(n, "maximality")

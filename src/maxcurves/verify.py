@@ -69,10 +69,10 @@ def check_maximal(census: PlaceCensus, g: int, q: int) -> CheckResult:
 
 def castelnuovo_terms(q: int, r: int) -> tuple[int, int]:
     """Unreduced numerator and denominator of the genus bound for a
-    maximal curve of Frobenius dimension r:
+    maximal curve of Frobenius dimension 2 <= r <= q+1:
     ((2q - (r-1))^2 - [r even]) / (8(r-1))."""
-    if r < 2:
-        raise ValueError("bound needs r >= 2")
+    if not 2 <= r <= q + 1:
+        raise ValueError(f"bound needs 2 <= r <= q+1 = {q + 1}")
     return (2 * q - (r - 1)) ** 2 - (1 - r % 2), 8 * (r - 1)
 
 
@@ -153,8 +153,8 @@ def deduce_epsilon_sequence(classes: dict, q: int, p: int, g: int) -> list[dict]
 
 # ---------------------------------------------------------------------------
 # per-curve reports: one pipeline of shared steps; each family function
-# supplies only its census, semigroup source, expected sequences and
-# extra checks
+# supplies only its census, its divisor table with the target and box the
+# monomial scan reads, expected sequences and extra checks
 
 def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
     """Run the full verification pipeline for a catalog curve.
@@ -162,13 +162,10 @@ def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationRepo
     ``census_delta`` perturbs the enumerated census total (test hook for
     exercising failure paths); leave at 0 for real verification.
     """
-    if curve.family == "GK":
-        return _gk_report(curve, census_delta)
-    if curve.family == "GSX49":
-        return _gsx49_report(curve, census_delta)
-    if curve.family == "FK":
-        return _fk_report(curve, census_delta)
-    raise ValueError(f"unknown curve family {curve.family!r}")
+    reports = {"GK": _gk_report, "GSX49": _gsx49_report, "FK": _fk_report}
+    if curve.family not in reports:
+        raise ValueError(f"unknown curve family {curve.family!r}")
+    return reports[curve.family](curve, census_delta)
 
 
 def _start(curve: CurveModel, g: int, census: PlaceCensus,
@@ -202,6 +199,16 @@ def _dimension(report: VerificationReport, g: int,
     return r
 
 
+def _scanned_semigroup(report: VerificationReport, table, target: str,
+                       ranges: dict) -> tuple[dict, NumericalSemigroup]:
+    """Record and return the monomial scan for non-gaps at ``target``
+    and the semigroup they generate."""
+    scan = curves.weierstrass_nongaps_from_monomials(table, target, ranges, report.q)
+    S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
+    report.semigroups.append(S.to_fragment(report.q))
+    return scan, S
+
+
 def _finish_epsilon(report: VerificationReport, classes: dict,
                     r: int | None, expected: tuple[int, ...]):
     """Shared tail: eliminate generic orders, weigh, validate j_2."""
@@ -233,21 +240,20 @@ def _finish_epsilon(report: VerificationReport, classes: dict,
 
 
 def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
-    qbar = curve.params["qbar"]
-    d = curve.params["d"]
-    q = curve.q
+    qbar, d, q = curve.params["qbar"], curve.params["d"], curve.q
     g = curves.genus_gk(qbar)
     census = curves.count_gk_places(curve)
     report = _start(curve, g, census, census_delta)
     report.checks.append(check_maximal(census, g, q))
 
-    # semigroup at fully ramified places
-    gens = (qbar ** 3 - qbar ** 2 + qbar, qbar ** 3, qbar ** 3 + 1)
-    S = numsg.semigroup_from_generators(gens)
-    report.semigroups.append(S.to_fragment(q))
+    # semigroup at the fully ramified place P0: a sub-semigroup of H(P0)
+    # with g gaps is H(P0)
+    _, S = _scanned_semigroup(report, curves.gk_divisor_table(qbar), "P0",
+                              {"x": range(2), "y": range(2), "z": range(2)})
     report.checks.append(CheckResult(
         "ramified-semigroup-gap-count", S.genus == g,
-        {"generators": list(gens), "gaps": S.genus, "curve_genus": g}))
+        {"generators": list(S.minimal_generators), "gaps": S.genus,
+         "curve_genus": g}))
     r = _dimension(report, g, S)
 
     ram = numsg.rational_point_orders(S, q)
@@ -280,9 +286,9 @@ def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         "sixteenth-power-fiber-count", 16 * k + 4 == census.total,
         {"fibers_with_16_roots": k, "reconstructed_total": 16 * k + 4}))
 
-    table = curves.gsx49_divisor_table()
-    scan = curves.weierstrass_nongaps_from_monomials(
-        table, "Pinf", {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)}, q)
+    scan, S = _scanned_semigroup(
+        report, curves.gsx49_divisor_table(), "Pinf",
+        {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)})
     certified = {5, 7, 8, 10, 12, 13}
     report.checks.append(CheckResult(
         "monomial-certified-nongaps",
@@ -290,9 +296,6 @@ def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         {"required": sorted(certified),
          "witnesses": {n: scan["witnesses"][n] for n in sorted(certified)},
          "six_absent": 6 not in scan["nongaps"]}))
-
-    S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
-    report.semigroups.append(S.to_fragment(q))
     report.checks.append(CheckResult(
         "small-nongaps", numsg.nongaps_upto(S, 8) == [0, 5, 7, 8],
         {"nongaps_upto_8": numsg.nongaps_upto(S, 8)}))
@@ -335,20 +338,19 @@ def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
         {"count": census.meta["fully_ramified_places"], "expected": q + 1}))
     r = _dimension(report, g, None)
 
-    # pole order of x/(y-beta) at the distinguished ramified place
-    table = curves.fk_divisor_table(q)
-    div = curves.divisor_of_monomial(table, {"x": 1, "y-beta": -1})
-    poles = {pid: -v for pid, v in div.items() if v < 0}
-    report.checks.append(CheckResult(
-        "distinguished-pole-order", poles == {"P0_beta": q - 2},
-        {"pole_order": -div.get("P0_beta", 0), "expected": q - 2}))
-
     # x^a (y-beta)^b is effective away from P0_beta iff 0 <= a <= -b, and
     # then its pole -3a-(q+1)b >= (q-2)(-b); a pole <= q+1 thus forces
     # -b <= (q+1)/(q-2) <= 2 (q >= 5), so this box holds every non-gap
     # the report reads
     scan = curves.weierstrass_nongaps_from_monomials(
-        table, "P0_beta", {"x": range(3), "y-beta": range(-2, 1)}, q)
+        curves.fk_divisor_table(q), "P0_beta",
+        {"x": range(3), "y-beta": range(-2, 1)}, q)
+    # pole order of x/(y-beta), whose only pole is the distinguished place
+    pole = next((n for n, w in scan["witnesses"].items()
+                 if w == {"x": 1, "y-beta": -1}), None)
+    report.checks.append(CheckResult(
+        "distinguished-pole-order", pole == q - 2,
+        {"pole_order": pole, "expected": q - 2}))
     known = [n for n in scan["nongaps"] if n <= q + 1]
     report.semigroups.append({
         "generators": known[1:],

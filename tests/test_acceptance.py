@@ -113,9 +113,10 @@ def test_criterion_4_fk_family_theorem():
         assert census.meta["fully_ramified_places"] == q + 1
         assert verify.deduce_frobenius_dimension(q, g) == {3}
 
-        table = curves.fk_divisor_table(q)
-        div = curves.divisor_of_monomial(table, {"x": 1, "y-beta": -1})
-        assert div["P0_beta"] == 2 - q
+        scan = curves.weierstrass_nongaps_from_monomials(
+            curves.fk_divisor_table(q), "P0_beta",
+            {"x": range(3), "y-beta": range(-2, 1)}, q)
+        assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1}
 
         rep = verify.theorem_report(curves.fk_curve(q))
         assert rep.passing

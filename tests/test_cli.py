@@ -42,6 +42,10 @@ class TestExitCodes:
         assert code == 2
         code, _, err = run_capture(["semigroup", "--gens", "a,b"], capsys)
         assert code == 2
+        # the degree-(q+1) Frobenius series has dimension 2 <= r <= q+1
+        code, out, err = run_capture(["bound", "--q", "4", "--r", "100"], capsys)
+        assert code == 2 and out == "" and "2 <= r <= q+1 = 5" in err
+        assert run_capture(["bound", "--q", "4", "--r", "5"], capsys)[0] == 0
 
     def test_help_exits_zero(self, capsys):
         assert run_capture(["--help"], capsys)[0] == 0
@@ -237,13 +241,16 @@ class TestFaultsFailChecks:
         assert cross["details"] == {"formula": 5, "riemann_hurwitz": 4}
 
 
-def _scan_drops(nongap):
+def _scan_fault(edit):
+    """A fault on the monomial scan: it returns edit(scan, q) instead."""
     def fault(real):
-        def lossy(table, target, ranges, q):
-            scan = real(table, target, ranges, q)
-            return dict(scan, nongaps=[n for n in scan["nongaps"] if n != nongap])
-        return lossy
+        return lambda table, target, ranges, q: edit(real(table, target, ranges, q), q)
     return fault
+
+
+def _scan_drops(nongap):
+    return _scan_fault(lambda scan, q: dict(
+        scan, nongaps=[n for n in scan["nongaps"] if n != nongap]))
 
 
 def _a0_class_loses_a_point(classes, d):
@@ -252,11 +259,10 @@ def _a0_class_loses_a_point(classes, d):
     return [(coords, n - 1, *rest), *others]
 
 
-def _p0_beta_off_by_one(real):
-    def lossy(table, exponents):
-        div = real(table, exponents)
-        return dict(div, P0_beta=div["P0_beta"] + 1)
-    return lossy
+def _pole_of_x_over_y_minus_beta_off_by_one(scan, q):
+    witnesses = dict(scan["witnesses"])
+    witnesses[q - 3] = witnesses.pop(q - 2)
+    return dict(scan, witnesses=witnesses)
 
 
 def _pinf_j2_is_5(real):
@@ -264,11 +270,9 @@ def _pinf_j2_is_5(real):
     return lambda S, q: (0, 1, 5, 8)
 
 
-def _ramified_gains_20(real):
-    def widened(gens):
-        gens = tuple(gens)
-        return real(gens + (20,) if gens == (21, 27, 28) else gens)
-    return widened
+def _ramified_gains_20(scan, q):
+    # 20 < 21, the smallest non-gap at P0 of GK qbar = 3
+    return dict(scan, nongaps=sorted(scan["nongaps"] + [20]))
 
 
 class TestEveryCheckCanFail:
@@ -284,10 +288,12 @@ class TestEveryCheckCanFail:
         (["fk", "--q", "11"], (curves, "_kummer_census"),
          _census_fault(_a0_class_loses_a_point),
          {"fully-ramified-count"}),
-        (["fk", "--q", "11"], (curves, "divisor_of_monomial"), _p0_beta_off_by_one,
+        (["fk", "--q", "11"], (curves, "weierstrass_nongaps_from_monomials"),
+         _scan_fault(_pole_of_x_over_y_minus_beta_off_by_one),
          {"distinguished-pole-order"}),
-        (["gk", "--qbar", "3"], (numsg, "semigroup_from_generators"),
-         _ramified_gains_20, {"ramified-semigroup-gap-count", "ramified-orders"}),
+        (["gk", "--qbar", "3"], (curves, "weierstrass_nongaps_from_monomials"),
+         _scan_fault(_ramified_gains_20),
+         {"ramified-semigroup-gap-count", "ramified-orders"}),
         (["gsx49"], (numsg, "rational_point_orders"), _pinf_j2_is_5,
          {"j2-at-Pinf", "j2-values-allowed"}),
     ], ids=["gsx49-scan-drops-5", "gsx49-census-delta", "fk11-a0-fiber-root",

@@ -1,8 +1,10 @@
 """Place censuses against closed-form point counts and brute oracles."""
 
 import itertools
+import time
 from collections import Counter
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,7 +317,8 @@ class TestRamificationIndex:
         assert census.counts[curves.INFINITE] == gcd(16, -7)
         # v(t+1) = e v_t(t+1) upstairs, as the divisor table records
         table = curves.gsx49_divisor_table().places
-        assert (table["P1"][1], table["Pinf"][1]) == (e["gsx49:P1"], -e["gsx49:Pinf"])
+        assert (table["P1,P2"][1][1], table["Pinf"][1][1]) == (
+            e["gsx49:P1"], -e["gsx49:Pinf"])
 
     @pytest.mark.parametrize("family,param", CENSUS_CASES)
     def test_ramified_and_infinite_samples_ramify(self, family, param):
@@ -407,53 +410,104 @@ class TestClassCensus:
         assert decided
 
 
+def builtin_tables():
+    yield curves.gsx49_divisor_table()
+    yield from map(curves.fk_divisor_table, FK_CATALOG)
+    yield from map(curves.gk_divisor_table, range(2, 10))
+
+
+FK_BOX = {"x": range(3), "y-beta": range(-2, 1)}
+
+
 class TestDivisors:
     def test_table_divisors_have_degree_zero(self):
-        for table in (curves.gsx49_divisor_table(), curves.fk_divisor_table(5),
-                      curves.fk_divisor_table(11)):
+        for table in builtin_tables():
             for i in range(len(table.symbols)):
-                assert sum(row[i] for row in table.places.values()) == 0
+                assert sum(n * row[i] for n, row in table.places.values()) == 0
         with pytest.raises(ValueError):
-            curves.PrincipalDivisorTable(("z",), {"P0": (1,), "Pinf": (-2,)})
+            curves.PrincipalDivisorTable(("z",), {"P0": (1, (1,)), "Pinf": (1, (-2,))})
+        with pytest.raises(ValueError):  # two simple zeros against one simple pole
+            curves.PrincipalDivisorTable(("z",), {"P0": (2, (1,)), "Pinf": (1, (-1,))})
 
-    def test_monomial_example(self):
-        table = curves.gsx49_divisor_table()
-        d = curves.divisor_of_monomial(table, {"z": 3, "t+1": -1})
-        assert d == {"P1": 1, "P2": 1, "P0": 3, "Pinf": -5}
+    def test_builtin_tables_have_at_most_four_classes(self):
+        for table in builtin_tables():
+            assert len(table.places) <= 4
 
-    def test_constant_monomial(self):
-        table = curves.gsx49_divisor_table()
-        assert curves.divisor_of_monomial(table, {"z": 0, "t+1": 0}) == {}
+    @pytest.mark.parametrize("qbar", range(2, 10))
+    def test_gk_table_holds_p0_and_the_zeros_of_u(self, qbar):
+        places = curves.gk_divisor_table(qbar).places
+        assert places["P0"][0] == 1
+        assert sum(n for n, _ in places.values()) == qbar ** 3 + 1
+
+    @pytest.mark.parametrize("qbar", [2, 3, 4])
+    def test_gk_table_matches_the_census(self, qbar):
+        census = curves.count_gk_places(curves.gk_curve(qbar))
+        places = curves.gk_divisor_table(qbar).places
+        zeros = sum(n for pid, (n, _) in places.items() if pid != "P0")
+        assert census.counts[curves.ZERO_OF_COVER] == zeros
+        assert census.counts[curves.INFINITE] == places["P0"][0]
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
-            curves.divisor_of_monomial(curves.gsx49_divisor_table(), {"w": 1})
-
-    def test_additive_in_exponents(self):
-        table = curves.gsx49_divisor_table()
-        a = curves.divisor_of_monomial(table, {"z": 2, "t+1": -1})
-        b = curves.divisor_of_monomial(table, {"z": 1, "t+1": -2})
-        ab = curves.divisor_of_monomial(table, {"z": 3, "t+1": -3})
-        for pid in table.places:
-            assert a.get(pid, 0) + b.get(pid, 0) == ab.get(pid, 0)
+            curves.weierstrass_nongaps_from_monomials(
+                curves.gsx49_divisor_table(), "Pinf", {"w": range(2)}, 7)
 
     def test_fk_pole_of_x_over_y_minus_beta(self):
+        # x/(y-beta) is effective away from P0_beta, with pole q-2 there
         for q in (5, 11, 17):
-            table = curves.fk_divisor_table(q)
-            d = curves.divisor_of_monomial(table, {"x": 1, "y-beta": -1})
-            assert d.pop("P0_beta") == 2 - q
-            assert all(v >= 0 for v in d.values())
+            scan = curves.weierstrass_nongaps_from_monomials(
+                curves.fk_divisor_table(q), "P0_beta", FK_BOX, q)
+            assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1}
+
+    def test_large_fk_table_is_three_classes(self):
+        q, m3 = 10007, 3336
+        start = time.perf_counter()
+        table = curves.fk_divisor_table(q)
+        scan = curves.weierstrass_nongaps_from_monomials(table, "P0_beta", FK_BOX, q)
+        assert time.perf_counter() - start < 1.0
+        assert table.places == {"P0_beta": (1, (3, q + 1)),
+                                "P0_beta'": (m3 - 1, (3, 0)),
+                                "Pinf": (m3, (-3, -3))}
+        assert [n for n in scan["nongaps"] if n <= q + 1] == [0, q - 2, q, q + 1]
+
+
+class TestGKDivisorTable:
+    BOX = {"x": range(2), "y": range(2), "z": range(2)}
+
+    @pytest.mark.parametrize("qbar", range(2, 10))
+    def test_scan_certifies_the_ramified_semigroup(self, qbar):
+        scan = curves.weierstrass_nongaps_from_monomials(
+            curves.gk_divisor_table(qbar), "P0", self.BOX, qbar ** 3)
+        S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n)
+        gens = (qbar ** 3 - qbar ** 2 + qbar, qbar ** 3, qbar ** 3 + 1)
+        assert S.minimal_generators == gens
+        assert S.genus == curves.genus_gk(qbar)
+        assert [scan["witnesses"][n] for n in gens] == [
+            {"x": 0, "y": 1, "z": 0}, {"x": 0, "y": 0, "z": 1},
+            {"x": 1, "y": 0, "z": 0}]
+
+    @pytest.mark.parametrize("qbar", range(2, 10))
+    def test_wider_box_gives_the_same_semigroup(self, qbar):
+        table = curves.gk_divisor_table(qbar)
+
+        def semigroup(ranges):
+            scan = curves.weierstrass_nongaps_from_monomials(
+                table, "P0", ranges, qbar ** 3)
+            return numsg.semigroup_from_generators(n for n in scan["nongaps"] if n)
+
+        wide = semigroup({"x": range(4), "y": range(-3, 4), "z": range(-3, 4)})
+        assert wide.apery == semigroup(self.BOX).apery
 
 
 def reference_scan(table, target, ranges, q):
-    """The scan written out place by place: each monomial's divisor as a
-    place-id dict, effective away from the target."""
+    """The scan written out place class by place class: each monomial's
+    divisor as a class-id dict, effective away from the target."""
     symbols = list(ranges)
     witnesses = {0: {s: 0 for s in symbols}}
     for combo in itertools.product(*(ranges[s] for s in symbols)):
         exps = dict(zip(symbols, combo))
         div = {}
-        for pid, row in table.places.items():
+        for pid, (_, row) in table.places.items():
             for s, e in exps.items():
                 div[pid] = div.get(pid, 0) + e * row[table.symbols.index(s)]
         if any(m < 0 for pid, m in div.items() if pid != target):
@@ -507,11 +561,24 @@ class TestMonomialScan:
             curves.weierstrass_nongaps_from_monomials(
                 table, "nowhere", {"z": range(2)}, 7)
 
-    @pytest.mark.parametrize("q", [None, 5, 11, 17, 23, 29])
+    @pytest.mark.parametrize("table,target", [
+        (curves.gsx49_divisor_table(), "P1,P2"), (curves.fk_divisor_table(11), "Pinf"),
+        (curves.fk_divisor_table(11), "P0_beta'"), (curves.gk_divisor_table(3), "(a,0)")])
+    def test_target_of_several_places_is_rejected(self, table, target):
+        with pytest.raises(ValueError, match="not one place"):
+            curves.weierstrass_nongaps_from_monomials(
+                table, target, {table.symbols[0]: range(2)}, 7)
+
+    # None is GSX49, q = 8, 27, 64 is GK with q = qbar^3, and the rest FK
+    @pytest.mark.parametrize("q", [None, 5, 11, 17, 23, 29, 8, 27, 64])
     def test_matches_reference_scan(self, q):
+        gk_qbar = {8: 2, 27: 3, 64: 4}
         if q is None:
             table, target, g, q = curves.gsx49_divisor_table(), "Pinf", 7, 7
             ranges = {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)}
+        elif q in gk_qbar:
+            table, target = curves.gk_divisor_table(gk_qbar[q]), "P0"
+            ranges = {"x": range(4), "y": range(-3, 4), "z": range(-3, 4)}
         else:
             table, target = curves.fk_divisor_table(q), "P0_beta"
             g = curves.genus_fk(q)
@@ -541,14 +608,19 @@ class TestMonomialScan:
         n_sym = data.draw(st.integers(1, 3))
         n_places = data.draw(st.integers(2, 5))
         symbols = tuple(f"f{i}" for i in range(n_sym))
+        # class sizes; the last class is one place, whose row balances each column
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=n_places - 1,
+                                   max_size=n_places - 1)) + [1]
         cols = []
         for _ in symbols:
             head = data.draw(st.lists(st.integers(-4, 4), min_size=n_places - 1,
                                       max_size=n_places - 1))
-            cols.append(head + [-sum(head)])
-        places = {f"P{k}": tuple(col[k] for col in cols) for k in range(n_places)}
+            cols.append(head + [-sum(map(mul, sizes, head))])
+        places = {f"P{k}": (sizes[k], tuple(col[k] for col in cols))
+                  for k in range(n_places)}
         table = curves.PrincipalDivisorTable(symbols=symbols, places=places)
-        target = data.draw(st.sampled_from(sorted(places)))
+        target = data.draw(st.sampled_from(
+            sorted(pid for pid, (n, _) in places.items() if n == 1)))
         named = data.draw(st.permutations(symbols))[:data.draw(st.integers(1, n_sym))]
         ranges = {}
         for sym in named:

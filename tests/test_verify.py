@@ -52,6 +52,13 @@ class TestCastelnuovoBound:
         with pytest.raises(ValueError):
             verify.castelnuovo_bound(5, 1)
 
+    def test_rejects_r_above_the_series_dimension(self):
+        # |(q+1)P| has dimension at most q+1
+        assert verify.castelnuovo_bound(5, 6) == Fraction(24, 40)
+        for q, r in ((5, 7), (4, 100)):
+            with pytest.raises(ValueError):
+                verify.castelnuovo_bound(q, r)
+
     def test_monotone_in_r(self):
         for q in range(3, 65):
             for r in range(2, q + 1):  # the bisection in deduce-dim relies on it
