@@ -1,7 +1,6 @@
-"""Command-line front end.
+"""maxcurves: exact checks of place counts, semigroups and order sequences.
 
-Subcommands::
-
+Commands:
     verify gk --qbar N      verify the GK curve over F_{qbar^6}
     verify gsx49            verify the fixed curve over F_49
     verify fk --q N         verify the degree-3 Kummer cover over F_{q^2}
@@ -10,16 +9,20 @@ Subcommands::
     bound --q N --r R
     deduce-dim --q N --g G
 
+Every command takes --format text|json (default text) and --out FILE
+(write there, not to stdout).  Options may be written --opt=value and
+shortened to a unique prefix; the last one given wins.  --version
+prints the version, and -h or --help anywhere prints this text.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/parameter error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import __version__, curves, gf, numsg, verify
 
@@ -38,66 +41,26 @@ def _over_cap(value: int, what: str) -> str:
     return f"{value} exceeds the {what} cap 2^{QUERY_Q_CAP.bit_length() - 1}"
 
 
-def _prime_power_arg(text: str) -> int:
-    """argparse type of the query commands' --q: a prime power up to
-    QUERY_Q_CAP."""
+def _int(text: str) -> int:
     try:
-        q = int(text)
-        if q > QUERY_Q_CAP:
-            raise argparse.ArgumentTypeError(_over_cap(q, "--q"))
-        gf.prime_power(q)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text} is not a prime power") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
+
+
+def _prime_power(text: str) -> int:
+    """The query commands' --q: a prime power, capped before it is factored."""
+    q = _int(text)
+    if q > QUERY_Q_CAP:
+        raise ValueError(_over_cap(q, "--q"))
+    gf.prime_power(q)
     return q
-
-
-@functools.cache  # one parser per process: building it costs far more than parsing
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="maxcurves",
-        description="Exact verification of place counts, Weierstrass "
-                    "semigroups and order sequences for three maximal curves.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
-    output.add_argument("--out", help="write output to FILE instead of stdout")
-    curve_opts = argparse.ArgumentParser(add_help=False, parents=[output])
-    curve_opts.add_argument("--inject-census-delta", type=int, default=0,
-                            help=argparse.SUPPRESS)  # test hook: perturb the census
-
-    pv = sub.add_parser("verify", help="run a per-curve verification report")
-    curve_sub = pv.add_subparsers(dest="curve", required=True)
-    pgk = curve_sub.add_parser("gk", help="GK curve", parents=[curve_opts])
-    pgk.add_argument("--qbar", type=int, required=True)
-    curve_sub.add_parser("gsx49", help="z^16 = t(t+1)^6 over F_49",
-                         parents=[curve_opts])
-    pfk = curve_sub.add_parser("fk", help="degree-3 Kummer cover, q = 2 mod 3",
-                               parents=[curve_opts])
-    pfk.add_argument("--q", type=int, required=True)
-
-    ps = sub.add_parser("semigroup", help="gaps/genus of a numerical semigroup",
-                        parents=[output])
-    ps.add_argument("--gens", required=True, help="comma-separated generators")
-    ps.add_argument("--upto", type=int, default=None,
-                    help="also list non-gaps up to this bound")
-
-    po = sub.add_parser("orders", help="order sequence at a rational place",
-                        parents=[output])
-    po.add_argument("--gens", required=True)
-    po.add_argument("--q", type=_prime_power_arg, required=True)
-
-    pb = sub.add_parser("bound", help="genus bound for a given dimension",
-                        parents=[output])
-    pb.add_argument("--q", type=_prime_power_arg, required=True)
-    pb.add_argument("--r", type=int, required=True)
-
-    pd = sub.add_parser("deduce-dim", help="candidate Frobenius dimensions",
-                        parents=[output])
-    pd.add_argument("--q", type=_prime_power_arg, required=True)
-    pd.add_argument("--g", type=int, required=True)
-    return parser
 
 
 def _parse_gens(spec: str) -> list[int]:
@@ -129,13 +92,13 @@ def _emit(args, body: dict, text):
 
 
 def _cmd_verify(args) -> int:
-    if args.curve == "gk":
+    if args.command[1] == "gk":
         curve = curves.gk_curve(args.qbar)
-    elif args.curve == "gsx49":
+    elif args.command[1] == "gsx49":
         curve = curves.gsx49_curve()
     else:
         curve = curves.fk_curve(args.q)
-    report = verify.theorem_report(curve, census_delta=args.inject_census_delta)
+    report = verify.theorem_report(curve, census_delta=args.inject_census_delta or 0)
     _emit(args, {"report": report.to_dict()}, lambda: verify.text_report(report))
     return 0 if report.passing else 1
 
@@ -194,25 +157,62 @@ def _cmd_deduce_dim(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "semigroup": _cmd_semigroup,
-    "orders": _cmd_orders,
-    "bound": _cmd_bound,
-    "deduce-dim": _cmd_deduce_dim,
+_HOOK = {"--inject-census-delta": _int}  # test hook: perturb the census
+
+#: command words -> (handler, required options, other options), each option
+#: with its converter; every command also takes --format and --out
+_COMMANDS = {
+    ("verify", "gk"): (_cmd_verify, {"--qbar": _int}, _HOOK),
+    ("verify", "gsx49"): (_cmd_verify, {}, _HOOK),
+    ("verify", "fk"): (_cmd_verify, {"--q": _int}, _HOOK),
+    ("semigroup",): (_cmd_semigroup, {"--gens": str}, {"--upto": _int}),
+    ("orders",): (_cmd_orders, {"--gens": str, "--q": _prime_power}, {}),
+    ("bound",): (_cmd_bound, {"--q": _prime_power, "--r": _int}, {}),
+    ("deduce-dim",): (_cmd_deduce_dim, {"--q": _prime_power, "--g": _int}, {}),
 }
 
 
+def _parse(argv: list[str]):
+    """(handler, args) for argv, or a ValueError naming the usage error."""
+    words = tuple(argv[:2 if argv[:1] == ["verify"] else 1])
+    if words not in _COMMANDS:
+        names = ", ".join(" ".join(w) for w in _COMMANDS)
+        raise ValueError(f"invalid choice: {' '.join(words)!r} (choose from {names})")
+    handler, required, optional = _COMMANDS[words]
+    spec = {"--format": _format, "--out": str, **optional, **required}
+    given = dict.fromkeys(spec)
+    rest = iter(argv[len(words):])
+    for token in rest:
+        opt, eq, value = token.partition("=")
+        matches = [opt] if opt in spec else [o for o in spec if o.startswith(opt)]
+        if len(matches) != 1:
+            raise ValueError(f"unrecognized arguments: {token}")
+        opt = matches[0]
+        value = value if eq else next(rest, "-")  # "-" when argv ends here
+        if not eq and value[:1] == "-" and not value[1:].isdigit():  # not an int < 0
+            raise ValueError(f"argument {opt}: expected one argument")
+        try:
+            given[opt] = spec[opt](value)
+        except ValueError as exc:
+            raise ValueError(f"argument {opt}: {exc}") from None
+    missing = [opt for opt in required if given[opt] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(
+        command=words, **{o[2:].replace("-", "_"): v for o, v in given.items()})
+
+
 def run(argv: list[str]) -> int:
-    """Parse argv and run one subcommand; returns the exit code."""
-    parser = _build_parser()
+    """Parse argv and run one command; returns the exit code."""
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
+    if argv == ["--version"]:
+        print(__version__)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        return _DISPATCH[args.command](args)
+        handler, args = _parse(argv)
+        return handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

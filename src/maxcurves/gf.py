@@ -43,7 +43,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_power(q: int) -> tuple[int, int]:
     """Return (p, n) with q = p^n, or raise if q is not a prime power."""
-    f = factorize(q)
+    f = factorize(q) if q >= 2 else {}
     if len(f) != 1:
         raise ValueError(f"{q} is not a prime power")
     [(p, n)] = f.items()

@@ -50,12 +50,36 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_capture(["--help"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["nope"], 2, "invalid choice: 'nope'"),
+        (["verify", "gsx49", "--bogus"], 2, "unrecognized arguments: --bogus"),
+        (["bound", "--q", "4"], 2, "the following arguments are required: --r"),
+        (["bound", "--q", "4", "--r"], 2, "argument --r: expected one argument"),
+        (["semigroup", "--gens", "-2,3"], 2, "argument --gens: expected one argument"),
+        (["bound", "--q", "5", "--r", "-1"], 2, "bound needs 2 <= r <= q+1 = 6"),
+        (["bound", "--q", "4", "--r", "x"], 2, "argument --r: invalid int value: 'x'"),
+        (["verify", "gsx49", "--format", "xml"], 2, "invalid choice: 'xml'"),
+        (["bound", "--q=11", "--r=4"], 0, "360/24 = 15"),
+        (["verify", "gk", "--qb", "2"], 0, "result: PASS"),
+        (["bound", "--q", "4", "--r", "3", "--q", "11", "--r", "4"], 0, "360/24 = 15"),
+        (["verify", "fk", "--help"], 0, "verify fk --q N"),
+        (["semigroup", "-h"], 0, "Exit codes: 0 all checks pass"),
+        (["--version"], 0, cli.__version__),
+    ])
+    def test_parser_contract(self, capsys, argv, code, message):
+        # a usage error writes only to stderr, any other run only to stdout
+        got, out, err = run_capture(argv, capsys)
+        quiet, loud = (out, err) if code == 2 else (err, out)
+        assert got == code and quiet == "" and message in loud
+
     @pytest.mark.parametrize("argv", [
         ["bound", "--q", "0", "--r", "3"],
         ["bound", "--q", "1", "--r", "2"],
         ["deduce-dim", "--q", "0", "--g", "3"],
         ["deduce-dim", "--q", "12", "--g", "3"],
         ["orders", "--gens", "5,7,8", "--q", "6"],
+        ["verify", "gk", "--qbar", "0"],
+        ["verify", "fk", "--q", "-1"],
     ])
     def test_non_prime_power_q_is_usage_error(self, capsys, argv):
         code, out, err = run_capture(argv, capsys)
@@ -101,8 +125,7 @@ class TestExitCodes:
         code, out, err = run_capture(argv, capsys)
         assert code == 2 and out == "" and message in err
 
-    def test_one_parser_serves_successive_runs(self, capsys):
-        cli._build_parser.cache_clear()
+    def test_successive_runs_share_no_state(self, capsys):
         code, out, _ = run_capture(
             ["verify", "fk", "--q", "5", "--inject-census-delta", "1"], capsys)
         assert code == 1 and "result: FAIL" in out
@@ -112,8 +135,6 @@ class TestExitCodes:
         assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
         code, out, err = run_capture(["bound", "--q", "11", "--r", "4"], capsys)
         assert (code, out, err) == (0, "360/24 = 15\n", "")
-        info = cli._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "report.json"
@@ -425,8 +446,8 @@ class TestQueryCommands:
 
 def test_startup_imports_no_dataclasses_or_fractions():
     # every command pays for what `import maxcurves.cli` loads
-    probe = ("import maxcurves.cli, sys; print(sorted(m for m in "
-             "('dataclasses', 'inspect', 'fractions') if m in sys.modules))")
+    probe = ("import maxcurves.cli, sys; print(sorted(m for m in ('dataclasses', "
+             "'inspect', 'fractions', 'argparse', 'gettext') if m in sys.modules))")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
