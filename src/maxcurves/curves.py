@@ -230,26 +230,35 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
     ramified places, e = d).  m divides N = |F*|, so the class has points
     iff m divides la, and d divides N/m, the spacing of the roots, so the
     root j = la/m decides the class: it splits into d n places when d
-    divides j + c and is inert otherwise.  Points are listed, and the
-    least z solved, only while PlaceCensus.add draws samples.  Returns the
-    census and the split and inert base point counts.
+    divides j + c and is inert otherwise.  The counts add up in locals and
+    reach the census once, at the end; points are listed, and the least z
+    solved, only while a tag still draws samples.  Returns the census and
+    the split and inert base point counts.
     """
     census = PlaceCensus()
-    split = inert = 0
+    kept = census.samples
+    ramified = split = inert = 0
     for coords, n, la, m, c in classes:
         if m and la % m:
             continue  # y^m = g^la has no root
-        points = _points(F, coords, la, m)
         if c is None:
-            census.add(ZERO_OF_COVER, n, samples=(
-                Place(ramified_id.format(*pt), d) for pt, _ in points))
+            ramified += n
+            if len(kept.get(ZERO_OF_COVER, ())) < SAMPLES_PER_CLASS:
+                census.add(ZERO_OF_COVER, 0, samples=(
+                    Place(ramified_id.format(*pt), d)
+                    for pt, _ in _points(F, coords, la, m)))
         elif ((la // m if m else 0) + c) % d:
             inert += n
         else:
             split += n
-            census.add(AFFINE_SPLIT, d * n, samples=(Place(split_id.format(
-                *pt, nth_roots(F, F._exp[(j + c) % (F.order - 1)], d)[0]), 1)
-                for pt, j in points))
+            if len(kept.get(AFFINE_SPLIT, ())) < SAMPLES_PER_CLASS:
+                census.add(AFFINE_SPLIT, 0, samples=(Place(split_id.format(
+                    *pt, nth_roots(F, F._exp[(j + c) % (F.order - 1)], d)[0]), 1)
+                    for pt, j in _points(F, coords, la, m)))
+    # the tags' first adds above fixed their key order
+    for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
+        if n:
+            census.add(tag, n)
     return census, split, inert
 
 
@@ -266,27 +275,45 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
       again a simple zero of u, fully ramified, 1 place.
 
     On logs (h = log(-1)) the walk takes the origin, then one class per
-    x0 = g^i in exp order.  s = log den, one one-plus lookup, also gives
-    y0^(qbar+1) = x0 (1 + x0^(qbar-1)) = g^(i+s) (s < 0: y0 = 0 only), and
-    num = -(1 + (-1) x0^(qbar^2-1)) is one more: log u = log y0 + h +
-    log num - s.
+    x0 = g^i in exp order, for the i below.  s = log den, one one-plus
+    lookup, also gives y0^(qbar+1) = x0 (1 + x0^(qbar-1)) = g^(i+s)
+    (s < 0: y0 = 0 only), and num = -(1 + (-1) x0^(qbar^2-1)) is one
+    more: log u = log y0 + h + log num - s.
+
+    The walk takes one class per F_qbar*-orbit of x0 != 0.  For mu in
+    F_{qbar^2}*, (x, y, z) -> (mu^(qbar+1) x, mu y, nu z) with nu^d = mu
+    is an automorphism over F_{qbar^6}: both sides of the Hermitian
+    equation gain the factor mu^(qbar+1), which lies in F_qbar*, so
+    x^(qbar-1) and x^(qbar^2-1) are fixed and u is multiplied by mu, and
+    nu exists since qbar^2-1 divides N/d = (qbar^3-1)(qbar+1).  So with
+    N = qbar^6-1 the classes i and i + N/(qbar-1) get one verdict, and the
+    x0 = g^i with i < N/(qbar-1) stand for all N, qbar-1 each (the norm
+    mu^(qbar+1) takes every value in F_qbar* = <g^(N/(qbar-1))>).
+    Samples still come from these points, the origin and the first
+    N/(qbar-1) x0 of the full walk with their roots in the same order: a
+    prefix of its points, which keeps its samples while it holds
+    SAMPLES_PER_CLASS points of each verdict that occurs.  It does: the
+    origin, x0 = 1 and x0 = g^(N/(qbar^2-1)) are ramified points or carry
+    them (x0 in F_{qbar^2}* makes num or den zero), and every split class
+    of the full walk has an orbit mate in the prefix, with the same
+    qbar+1 >= 3 points.
 
     The census only counts; the report judges it against Hasse-Weil.
     """
     qbar, F = curve.params["qbar"], curve.field
     N, exp, one_plus = F.order - 1, F._exp, F._one_plus
     h = F._log[F.p - 1]
+    w, m = qbar - 1, qbar + 1  # x0s per orbit, points per x0
 
     def classes():
         yield (0, 0), 1, 0, 0, None
-        for i, x0 in enumerate(exp):
-            s = one_plus[i * (qbar - 1) % N]
+        # s = one_plus[i w] for i < N/w: the slice ends the walk
+        for i, (x0, s) in enumerate(zip(exp, one_plus[::w])):
             if s < 0:
-                yield (x0, 0), 1, 0, 0, None
+                yield (x0, 0), w, 0, 0, None
                 continue
-            l_num = one_plus[(i * (qbar * qbar - 1) + h) % N]
-            yield ((x0,), qbar + 1, i + s, qbar + 1,
-                   None if l_num < 0 else h + l_num - s)
+            l_num = one_plus[(i * w * m + h) % N]
+            yield (x0,), w * m, i + s, m, None if l_num < 0 else h + l_num - s
 
     census, split, inert = _kummer_census(
         F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")

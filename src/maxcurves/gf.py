@@ -82,13 +82,14 @@ def _poly_divmod_r(a: list[int], mod: list[int], p: int) -> list[int]:
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a^e modulo mod, taking the exponent's high bit first, so each
+    multiply is by a itself: short for the low-degree generator candidates."""
     result = [1]
     base = _poly_divmod_r(a[:], mod, p)
-    while e:
-        if e & 1:
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, mod, p)
+        if bit == "1":
             result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
     return result
 
 
@@ -141,10 +142,9 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     coefficient vector (constant term compared first)."""
     if k == 1:
         return (0, 1)
-    for low in product(range(p), repeat=k):
+    # a zero constant term means divisible by x: start that digit at 1
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
         f = list(low) + [1]
-        if f[0] == 0:
-            continue  # divisible by x
         if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable

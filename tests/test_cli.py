@@ -196,7 +196,8 @@ class TestFaultsFailChecks:
         assert checks["maximality"]["details"]["delta"] == -16
 
     def test_gk_fiber_loses_its_roots(self, capsys, monkeypatch):
-        # qbar = 3: d = 7, and each class holds the 4 points over one x
+        # qbar = 3: d = 7, and each class holds the 4 points over each of
+        # the 2 x of its orbit, so the moved point stands for 2 base points
         _, out, _ = run_capture(["verify", "gk", "--qbar", "3", "--format", "json"],
                                 capsys)
         before = json.loads(out)["report"]["census"]["meta"]
@@ -207,10 +208,10 @@ class TestFaultsFailChecks:
         checks = {c["name"]: c for c in report["checks"]}
         assert moved and code == 1
         assert report["census"]["meta"] == {
-            "split_fibers": before["split_fibers"] - 1,
-            "inert_fibers": before["inert_fibers"] + 1}
+            "split_fibers": before["split_fibers"] - 2,
+            "inert_fibers": before["inert_fibers"] + 2}
         assert not checks["maximality"]["passed"]
-        assert checks["maximality"]["details"]["delta"] == -7
+        assert checks["maximality"]["details"]["delta"] == -14
 
     def test_fk_split_violation(self, capsys, monkeypatch):
         moved = _move_a_split_point(monkeypatch)

@@ -79,10 +79,28 @@ def walked_fibers(monkeypatch, count, curve):
             for coords, lf in class_points(curve.field, cls)]
 
 
-def assert_weights_are_point_counts(fibers):
-    """Each GK class with points stands for exactly those points."""
-    for (_, n, *_), k in Counter(cls for _, _, cls in fibers).items():
-        assert n == k
+def assert_weights_count_orbits(fibers, qbar):
+    """Each GK class with points stands for its points over each of the
+    qbar - 1 x0 of its F_qbar*-orbit; the origin stands for itself."""
+    for (coords, n, *_), k in Counter(cls for _, _, cls in fibers).items():
+        assert n == k * (1 if coords == (0, 0) else qbar - 1)
+
+
+def gk_x_verdicts(curve):
+    """The verdict over each x0 = g^i, i < N, from element arithmetic: the
+    number of points over x0 and the set of their tags."""
+    F, qbar, d = curve.field, curve.params["qbar"], curve.params["d"]
+    verdicts = []
+    for x0 in enumerate_field(F)[1:]:
+        den = x0 ** (qbar - 1) + 1
+        ys = element_roots(x0 ** qbar + x0, qbar + 1)
+        tags = set()
+        for y0 in ys:
+            t = y0 * (x0 ** (qbar * qbar - 1) - 1)
+            tags.add("ramified" if den.is_zero() or t.is_zero()
+                     else "split" if element_roots(t / den, d) else "inert")
+        verdicts.append((len(ys), tags))
+    return verdicts
 
 
 def solved_roots(monkeypatch, count, curve):
@@ -99,7 +117,8 @@ def solved_roots(monkeypatch, count, curve):
 
 
 class TestHermitianPoints:
-    """The GK census walks the affine Hermitian points itself."""
+    """The GK census walks the affine Hermitian points itself, one
+    F_qbar*-orbit of x0 at a time."""
 
     def test_origin_always_on_curve(self, monkeypatch):
         fibers = walked_fibers(monkeypatch, curves.count_gk_places,
@@ -107,9 +126,12 @@ class TestHermitianPoints:
         assert fibers[0][:2] == ((0, 0), None)
 
     def test_count_f729(self, monkeypatch):
-        fibers = walked_fibers(monkeypatch, curves.count_gk_places,
-                               curves.gk_curve(3))
-        assert len(fibers) == 891
+        # 891 affine points: the origin and 728/2 orbits of x0, whose
+        # weights add up to the whole walk
+        classes = walked_classes(monkeypatch, curves.count_gk_places,
+                                 curves.gk_curve(3))
+        assert len(classes) == 1 + 728 // 2
+        assert sum(n for _, n, la, m, _ in classes if not (m and la % m)) == 891
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
     def test_double_count_oracle(self, monkeypatch, qbar, p, k):
@@ -118,12 +140,55 @@ class TestHermitianPoints:
         F = curve.field
         assert (F.p, F.k) == (p, k)
         fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
-        brute = sum(1 for x0 in enumerate_field(F)
-                    for y0 in enumerate_field(F)
-                    if y0 ** (qbar + 1) == x0 ** qbar + x0)
-        assert len(fibers) == brute
-        assert len({coords for coords, _, _ in fibers}) == brute
-        assert_weights_are_point_counts(fibers)
+        brute = {(x0.code, y0.code) for x0 in enumerate_field(F)
+                 for y0 in enumerate_field(F)
+                 if y0 ** (qbar + 1) == x0 ** qbar + x0}
+        # (x, y) -> (mu^(qbar+1) x, mu y), mu in F_{qbar^2}*, carries the
+        # walked points onto every point, and the weights count each once
+        mus = [mu for mu in enumerate_field(F)[1:] if is_in_subfield(mu, k // 3)]
+        assert len(mus) == qbar * qbar - 1
+        images = {((mu ** (qbar + 1) * FieldElement(F, x)).code,
+                   (mu * FieldElement(F, y)).code)
+                  for (x, y), _, _ in fibers for mu in mus}
+        assert images == brute
+        assert sum(n for _, n, *_ in {cls for _, _, cls in fibers}) == len(brute)
+        assert_weights_count_orbits(fibers, qbar)
+
+    @pytest.mark.parametrize("qbar", [2, 3, 4])
+    def test_hands_the_census_one_class_per_orbit(self, monkeypatch, qbar):
+        # the origin and N/(qbar-1) classes of x0: no fallback to all N
+        curve = curves.gk_curve(qbar)
+        F = curve.field
+        N = F.order - 1
+        classes = walked_classes(monkeypatch, curves.count_gk_places, curve)
+        assert len(classes) == 1 + N // (qbar - 1)
+        assert classes[0] == ((0, 0), 1, 0, 0, None)
+        assert [coords[0] for coords, *_ in classes[1:]] == F._exp[:N // (qbar - 1)]
+        # qbar - 1 x0 each, with qbar + 1 points over x0 or (den = 0) one
+        for coords, n, la, m, c in classes[1:]:
+            assert (n, m) == (((qbar - 1) * (qbar + 1), qbar + 1) if m
+                              else (qbar - 1, 0))
+            assert m or (coords[1:] == (0,) and c is None)
+
+    @pytest.mark.parametrize("qbar", [2, 3, 4])
+    def test_orbit_mates_share_a_verdict(self, monkeypatch, qbar):
+        # class i and class i + N/(qbar-1) have the same verdict for every i,
+        # and the walked classes have the verdicts element arithmetic gives
+        curve = curves.gk_curve(qbar)
+        F, d = curve.field, curve.params["d"]
+        N, step = F.order - 1, (F.order - 1) // (qbar - 1)
+        verdicts = gk_x_verdicts(curve)
+        assert all(verdicts[i] == verdicts[(i + step) % N] for i in range(N))
+        # one verdict per x0; GK is maximal, so no fiber is inert
+        assert all(len(tags) <= 1 for _, tags in verdicts)
+        assert set().union(*(tags for _, tags in verdicts)) == {"ramified", "split"}
+        walked = []
+        for cls in walked_classes(monkeypatch, curves.count_gk_places, curve)[1:]:
+            points = class_points(F, cls)
+            walked.append((len(points), {
+                "ramified" if lf is None else "inert" if lf % d else "split"
+                for _, lf in points}))
+        assert walked == verdicts[:step]
 
 
 class TestGKCensus:
@@ -329,8 +394,9 @@ class TestRamificationIndex:
 
 
 class TestReferenceCensus:
-    @pytest.mark.parametrize("family,param", CENSUS_CASES)
-    def test_matches_reference_census(self, family, param):
+    @pytest.mark.parametrize("family,param", CENSUS_CASES + [("gk", 5)])
+    def test_matches_reference_census(self, monkeypatch, family, param):
+        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5
         count, curve = catalog_census(family, param)
         assert count(curve).to_fragment() == reference_census(curve).to_fragment()
 
@@ -346,9 +412,12 @@ class TestReferenceCensus:
         F = curve.field
         assert (F.p, F.k) == (p, k)
         fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
-        assert [coords for coords, _, _ in fibers] == [
-            (x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
-        assert_weights_are_point_counts(fibers)
+        # the points over the origin and the first N/(qbar-1) x0: a prefix
+        walked_x = {0, *F._exp[:(F.order - 1) // (qbar - 1)]}
+        points = [(x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
+        assert [coords for coords, _, _ in fibers] == points[:len(fibers)] == [
+            pt for pt in points if pt[0] in walked_x]
+        assert_weights_count_orbits(fibers, qbar)
 
     @pytest.mark.parametrize("count,curve,d", [
         (curves.count_gk_places, lambda: curves.gk_curve(3), 7),
