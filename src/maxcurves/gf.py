@@ -6,12 +6,14 @@ its integer code, the coefficient vector of the residue polynomial in
 base p, low coefficient first, and the module computes on codes and
 their discrete logs only.
 
-The exp table is a walk g^0, g^1, ... over codes.  Multiplying by the
-generator g is F_p-linear, so the walk splits each code into a low and a
-high half and adds the images of the two halves under g, looked up in
-tables of about p^(k/2) entries built with one polynomial product per
-digit (see :func:`_split_multiplier`), instead of one polynomial product
-per element.  No table the build makes exceeds 2 p^k entries.
+The modulus and generator searches multiply in F_p[x]/(f) on packed
+integers (:func:`_ring`): a product of residues is a fixed handful of
+integer operations, whatever k.  The exp table is a walk g^0, g^1, ...
+over codes.  Multiplying by g is F_p-linear, so the walk splits each
+code into a low and a high half and adds the images of the two halves
+under g, looked up in tables of about p^(k/2) entries built with one
+ring product per digit (see :func:`_split_multiplier`).  No table the
+build makes exceeds 2 p^k entries.
 """
 
 from __future__ import annotations
@@ -51,102 +53,98 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, low degree first)
+# F_p[x]/(f) on packed integers
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _ring(p: int, f: tuple[int, ...]):
+    """Products in F_p[x]/(f), f monic of degree k (low coefficient
+    first), on packed integers: coefficient i of a residue sits in bits
+    [s*i, s*(i+1)), wide enough that no digit below carries into the next.
 
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod_r(prod, mod, p)
-
-
-def _poly_divmod_r(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial mod."""
-    a = a[:]
-    k = len(mod) - 1
-    for i in range(len(a) - 1, k - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(k + 1):
-                a[i - k + j] = (a[i - k + j] - c * mod[j]) % p
-    del a[k:]
-    return _poly_trim(a)
-
-
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """a^e modulo mod, taking the exponent's high bit first, so each
-    multiply is by a itself: short for the low-degree generator candidates."""
-    result = [1]
-    base = _poly_divmod_r(a[:], mod, p)
-    for bit in bin(e)[2:]:
-        result = _poly_mulmod(result, result, mod, p)
-        if bit == "1":
-            result = _poly_mulmod(result, base, mod, p)
-    return result
-
-
-def _decode(code: int, p: int, k: int) -> list[int]:
-    """Coefficient vector (length k, low first) of a base-p field code."""
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _encode(coeffs: list[int], p: int) -> int:
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + c % p
-    return code
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        monic = [(c * inv) % p for c in b]
-        a, b = b, _poly_divmod_r(a, monic, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Standard x^{p^i} gcd test for a monic polynomial of degree k."""
+    A product is one integer product c, then Barrett's quotient, exact on
+    polynomials: c div f = (c div x^k) * mu div x^(k-2) with
+    mu = x^(2k-2) div f.  The remainder c - (c div f) * f, kept
+    nonnegative by an offset of a multiple of p per digit, has digits
+    below k^3 p^4 < 2^t, and all of them are reduced mod p at once:
+    d mod p = d - p * floor(d*M / 2^u) with M = ceil(2^u / p), exact for
+    d < 2^t when 2^u >= p * 2^t.  Returns (pack, code, mul): the residue
+    of a base-p code, the base-b code of a residue, and the product.
+    """
     k = len(f) - 1
-    h = [0, 1]  # x
-    for _ in range(1, k // 2 + 1):
-        h = _poly_powmod(h, p, f, p)
-        g = _poly_gcd(_poly_sub(h, [0, 1], p), f, p)
-        if len(g) > 1:
-            return False
-    return True
+    t = (k ** 3 * p ** 4).bit_length()
+    u = t + p.bit_length()
+    s, M = t + u, -(-(1 << u) // p)
+    top, mid, m = s * k, s * max(k - 2, 0), (1 << s) - 1
+    low = (1 << top) - 1
+    ones = low // m  # the digit 1 in each of the k places
+    off, qmask = (k - 1) ** 2 * k * p ** 4 * ones, ((1 << t) - 1) * ones
+    shifts = range(0, top, s)
+    flow = sum(c << i for c, i in zip(f, shifts))
+    # mu by long division: adding (p - c) f x^j takes c f x^j away mod p
+    r, mu = 1 << s * (2 * k - 2), 0
+    for j in range(k - 2, -1, -1):
+        c = (r >> s * (k + j) & m) % p
+        mu |= c << s * j
+        r += (p - c) * (flow | 1 << top) << s * j
+
+    def pack(code: int) -> int:
+        a = 0
+        for i in shifts:
+            code, d = divmod(code, p)
+            a |= d << i
+        return a
+
+    def code(a: int, base: int) -> int:
+        return sum((a >> i & m) * base ** j for j, i in enumerate(shifts))
+
+    def mul(a: int, b: int) -> int:
+        c = a * b
+        r = (c & low) + off - ((c >> top) * mu >> mid) * flow & low
+        return r - p * (r * M >> u & qmask)
+
+    return pack, code, mul
+
+
+def _pow(mul, a: int, e: int) -> int:
+    """a^e for e >= 1, the exponent's high bit first."""
+    r = a
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, a)
+    return r
 
 
 def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible of degree k with lexicographically smallest
-    coefficient vector (constant term compared first)."""
+    coefficient vector (constant term compared first).
+
+    A candidate with a root in F_p is reducible, and for k <= 3 one
+    without is irreducible.  Otherwise Rabin's test decides: f is
+    irreducible iff x^(p^k) = x mod f, which makes F_p[x]/(f) a product
+    of fields F_(p^d) with d | k, and x^(p^(k/l)) - x is a unit there,
+    i.e. its (p^k - 1)-th power is 1, for every prime l | k.
+    """
     if k == 1:
         return (0, 1)
     # a zero constant term means divisible by x: start that digit at 1
     for low in product(range(1, p), *[range(p)] * (k - 1)):
-        f = list(low) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+        f = low + (1,)
+        values = [1] * (p - 1)  # f(r) for r = 1 .. p-1, by Horner's rule
+        for c in reversed(low):
+            values = [(v * r + c) % p for r, v in enumerate(values, 1)]
+        if 0 in values:
+            continue
+        if k <= 3:
+            return f
+        pack, _, mul = _ring(p, f)
+        frob = [pack(p)]  # x^(p^i)
+        for _ in range(k):
+            frob.append(_pow(mul, frob[-1], p))
+        # mul by 1 reduces the digits of x^(p^i) + (p-1)x mod p
+        if frob[k] == frob[0] and all(
+                _pow(mul, mul(frob[k // ell] + (p - 1) * frob[0], 1), p ** k - 1) == 1
+                for ell in factorize(k)):
+            return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -173,15 +171,16 @@ def _split_multiplier(p: int, k: int, modulus: tuple[int, ...], g: int
         pj, wj = p ** j, w ** j
         wrap = [c + t % p * pj for t in range(w) for c in wrap]
         rewrap = [c + t % p * wj for t in range(w) for c in rewrap]
-    mod, gv = list(modulus), _decode(g, p, k)
+    pack, code, mul = _ring(p, modulus)
+    gp = pack(g)
 
     def images(first: int, digits: int) -> list[int]:
-        # g*(c*p^first) for every c < p^digits: one polynomial product
-        # per digit, then one wide sum per entry
+        # g*(c*p^first) for every c < p^digits: one ring product per
+        # digit, then one wide sum per entry
         out = [0]
         for j in range(first, first + digits):
             # u = g*x^j; its coefficients are < p, so base w gives its wide code
-            u = _encode(_poly_mulmod(_decode(p ** j, p, k), gv, mod, p), w)
+            u = code(mul(gp, pack(p ** j)), w)
             for i in range(len(out) * (p - 1)):
                 s = out[i] + u
                 out.append(rewrap[s % W] + W * rewrap[s // W])
@@ -227,8 +226,10 @@ class FieldSpec:
             raise ValueError(f"{generator} is not a primitive element")
         self._exp = exp
         self._log = log
-        # on codes, c + 1 only changes the constant digit
-        self._one_plus = [log[c - c % p + (c + 1) % p] for c in exp]
+        # succ[c] = log of c + 1, the constant digit wrapping mod p
+        succ = log[1:] + log[:1]
+        succ[p - 1::p] = log[::p]
+        self._one_plus = list(map(succ.__getitem__, exp))
 
     def to_fragment(self) -> dict:
         """Serializable description, embedded into verification reports."""
@@ -273,15 +274,14 @@ def make_field(p: int, k: int) -> FieldSpec:
 
 
 def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> int:
-    order = p ** k
-    n = order - 1
-    prime_divs = list(factorize(n))
-    mod = list(modulus)
-    # the tables are not built yet: powers on coefficient vectors.  For
+    n = p ** k - 1
+    exps = [n // ell for ell in factorize(n)]
+    pack, _, mul = _ring(p, modulus)
+    # the tables are not built yet: powers on packed residues.  For
     # k > 1 the codes below p are F_p, whose orders divide p - 1 < n.
-    for g in range(p if k > 1 else 1, order):
-        if all(_poly_powmod(_decode(g, p, k), n // ell, mod, p) != [1]
-               for ell in prime_divs):
+    for g in range(p if k > 1 else 1, n + 1):
+        a = pack(g)
+        if all(_pow(mul, a, e) != 1 for e in exps):
             return g
     raise AssertionError("no generator found")  # unreachable for a field
 

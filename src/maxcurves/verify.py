@@ -10,8 +10,6 @@ are exactly where bugs would hide.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import curves, numsg
 from .curves import CurveModel, PlaceCensus
 from .numsg import NumericalSemigroup
@@ -109,13 +107,26 @@ def deduce_frobenius_dimension(q: int, g: int) -> set[int]:
     return candidates
 
 
+def lucas_dominated(e: int, p: int) -> list[int]:
+    """Every mu <= e with C(e, mu) prime to p, in increasing order: by
+    Lucas's theorem, the mu whose base-p digits are each at most the
+    matching digit of e."""
+    out, place = [0], 1
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            out = [mu + j * place for j in range(d + 1) for mu in out]
+        place *= p
+    return out
+
+
 def padic_admissible(orders, p: int) -> bool:
     """p-adic criterion: if e is an order and C(e, mu) is prime to p,
     then mu is an order too."""
     entries = set(orders)
     if sorted(entries) != list(orders):
         raise ValueError("orders must be strictly increasing")
-    return all(mu in entries for e in entries for mu in range(e) if comb(e, mu) % p)
+    return all(mu in entries for e in entries for mu in lucas_dominated(e, p))
 
 
 def allowed_j2_values(q: int) -> set[int]:

@@ -1,12 +1,42 @@
 """Element-level helpers the tests build brute-force oracles from.
 
 The package computes on integer codes and discrete logs and needs none
-of these: an element class, whole-field enumeration, subfield
-membership, powers of the generator, roots as elements and the
-Hermitian points as element pairs.
+of these: polynomial products on coefficient lists, an element class,
+whole-field enumeration, subfield membership, powers of the generator,
+roots as elements and the Hermitian points as element pairs.
 """
 
 from maxcurves.gf import FieldSpec, nth_roots
+
+
+def digits(code: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of a code, low first: its coefficient list."""
+    out = []
+    for _ in range(k):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
+
+def from_digits(coeffs: list[int], p: int) -> int:
+    """The code of a coefficient list (low first) over F_p."""
+    return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+
+def poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a*b mod (f, p) on coefficient lists, low first, f monic of degree
+    k: a schoolbook product, then long division by f.  Returns k
+    coefficients in [0, p)."""
+    k = len(f) - 1
+    c = [0] * max(len(a) + len(b) - 1, k)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for i in range(len(c) - 1, k - 1, -1):
+        top = c[i] % p
+        for j in range(k + 1):
+            c[i - k + j] -= top * f[j]
+    return [x % p for x in c[:k]]
 
 
 class FieldElement:

@@ -6,9 +6,35 @@ import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxcurves import gf
-from field_helpers import FieldElement, enumerate_field, field_exp, is_in_subfield
+from field_helpers import (FieldElement, digits, enumerate_field, field_exp, from_digits,
+                           is_in_subfield, poly_mulmod)
+
+
+PRIMES = [p for p in range(2, gf.FIELD_CAP + 1) if gf.factorize(p) == {p: 1}]
+#: every extension field under the cap, (p, k) with k >= 2: 44 of them
+EXTENSION_FIELDS = [(p, k) for p in PRIMES for k in range(2, gf.FIELD_CAP.bit_length())
+                    if p ** k <= gf.FIELD_CAP]
+
+
+def has_monic_factor(f, p):
+    """Trial division: does some monic polynomial of degree 1..k/2 divide
+    the monic f (coefficients low first) over F_p?"""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for lowa in itertools.product(range(p), repeat=d):
+            a = list(lowa) + [1]
+            rem = list(f)
+            for i in range(k, d - 1, -1):
+                c = rem[i] % p
+                if c:
+                    for j in range(d + 1):
+                        rem[i - d + j] -= c * a[j]
+            if not any(r % p for r in rem[:d]):
+                return True
+    return False
 
 
 def brute_nth_roots(F, a, n):
@@ -89,22 +115,16 @@ class TestMakeField:
         assert a.to_fragment() == b.to_fragment()
         assert a._exp == b._exp and a._log == b._log
 
-    @pytest.mark.parametrize("p,k", [(2, 6), (3, 6), (5, 2), (7, 2), (2, 12)])
+    @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
     def test_modulus_irreducible_brute(self, p, k):
-        # oracle: no factorization into two lower-degree monic polys
-        F = gf.make_field(p, k)
-        mod = list(F.modulus)
-        for d1 in range(1, k // 2 + 1):
-            for lowa in itertools.product(range(p), repeat=d1):
-                a = list(lowa) + [1]
-                # trial divide mod by the monic candidate a
-                rem = list(mod)
-                for i in range(len(rem) - 1, d1 - 1, -1):
-                    c = rem[i]
-                    if c:
-                        for j in range(d1 + 1):
-                            rem[i - d1 + j] = (rem[i - d1 + j] - c * a[j]) % p
-                assert any(rem[:d1]), f"{a} divides the modulus"
+        # oracle: the modulus has no monic factor by trial division, and
+        # every monic candidate lex-smaller (constant term first) has one
+        mod = gf.make_field(p, k).modulus
+        assert not has_monic_factor(mod, p)
+        for low in itertools.product(range(p), repeat=k):
+            if low == mod[:k]:
+                break
+            assert has_monic_factor(low + (1,), p), f"{low} is irreducible"
 
     def test_log_exp_bijection(self, f49):
         for i in range(48):
@@ -236,23 +256,23 @@ class TestLogTables:
 
 
 def reference_tables(F):
-    """Oracle: the log/exp/one-plus tables by one polynomial product per
-    element, with F's modulus and generator."""
+    """Oracle: the log/exp/one-plus tables by one coefficient-list
+    product per element, with F's modulus and generator."""
     p, k, N = F.p, F.k, F.order - 1
-    mod, g = list(F.modulus), gf._decode(F.generator, p, k)
+    mod, g = list(F.modulus), digits(F.generator, p, k)
     exp, log = [], [-1] * F.order
-    x = [1]
+    x = digits(1, p, k)
     for i in range(N):
-        code = gf._encode(x, p)
+        code = from_digits(x, p)
         exp.append(code)
         log[code] = i
-        x = gf._poly_mulmod(x, g, mod, p)
-    assert x == [1]
+        x = poly_mulmod(x, g, mod, p)
+    assert x == digits(1, p, k)
     one_plus = []
     for code in exp:
-        v = gf._decode(code, p, k)
-        v[0] = (v[0] + 1) % p
-        one_plus.append(log[gf._encode(v, p)])
+        v = digits(code, p, k)
+        v[0] += 1
+        one_plus.append(log[from_digits(v, p)])
     return exp, log, one_plus
 
 
@@ -290,12 +310,35 @@ class TestTableBuild:
         with pytest.raises(ValueError, match="not a primitive element"):
             gf.FieldSpec(p, k, F.modulus, code)
 
-    @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (7, 2), (2, 6), (11, 2)])
+    @pytest.mark.parametrize("p,k", [(7, 1), (5479, 1)] + EXTENSION_FIELDS)
     def test_generator_is_the_smallest_primitive_code(self, p, k):
+        # c is primitive iff its log is prime to N
         F = gf.make_field(p, k)
-        for code in range(1, F.generator):
-            with pytest.raises(ValueError, match="not a primitive element"):
-                gf.FieldSpec(p, k, F.modulus, code)
+        N = F.order - 1
+        assert F._log[F.generator] == 1
+        assert all(gcd(F._log[c], N) > 1 for c in range(1, F.generator))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_packed_product_against_coefficient_lists(self, data):
+        # any monic f, reducible ones too: the modulus search multiplies
+        # modulo its candidates
+        p, k = data.draw(st.one_of(st.sampled_from(EXTENSION_FIELDS),
+                                   st.sampled_from([(p, 1) for p in PRIMES])))
+        digit = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        vector = st.lists(digit, min_size=k, max_size=k)
+        f, a, b = data.draw(vector) + [1], data.draw(vector), data.draw(vector)
+        pack, code, mul = gf._ring(p, tuple(f))
+        got = code(mul(pack(from_digits(a, p)), pack(from_digits(b, p))), p)
+        assert got == from_digits(poly_mulmod(a, b, f, p), p)
+
+    @pytest.mark.parametrize("p,k", [(2, 12), (3, 7), (5, 5), (7, 4), (17, 3), (73, 2), (5479, 1)])
+    def test_packed_product_at_the_largest_digits(self, p, k):
+        # every coefficient p - 1: the largest digit sums the ring packs
+        top = [p - 1] * k
+        pack, code, mul = gf._ring(p, tuple(top + [1]))
+        x = pack(from_digits(top, p))
+        assert code(mul(x, x), p) == from_digits(poly_mulmod(top, top, top + [1], p), p)
 
 
 class TestSubfield:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,24 @@ class TestPadic:
     def test_accepts_01464_in_char2(self):
         # C(4, mu) is even for 0 < mu < 4
         assert verify.padic_admissible((0, 1, 4, 64), 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_lucas_dominated_is_the_comb_definition(self, p):
+        for e in range(300):
+            assert verify.lucas_dominated(e, p) == [mu for mu in range(e + 1) if comb(e, mu) % p]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.sets(st.integers(2, 150), max_size=6))
+    def test_padic_admissible_is_the_comb_definition(self, p, rest):
+        def missing(entries):
+            return {mu for e in entries for mu in range(e) if comb(e, mu) % p} - entries
+
+        orders = {0, 1} | rest
+        assert verify.padic_admissible(sorted(orders), p) == (not missing(orders))
+        while new := missing(orders):  # the closure is admissible
+            orders |= new
+        assert verify.padic_admissible(sorted(orders), p)
 
 
 class TestAllowedJ2:
