@@ -19,7 +19,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage/parameter error.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from types import SimpleNamespace
@@ -75,13 +74,127 @@ def _parse_gens(spec: str) -> list[int]:
     return gens
 
 
+#: json's escapes for the characters that have a short one
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string literal, escaped as json.dumps escapes it by
+    default (ensure_ascii): printable ASCII stays, other characters
+    become \\uXXXX and those above U+FFFF a surrogate pair."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = []
+    for ch in s:
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        else:
+            n = ord(ch)
+            if n > 0xFFFF:
+                n -= 0x10000
+                out.append(f"\\u{0xD800 | n >> 10:04x}")
+                n = 0xDC00 | n & 0x3FF
+            out.append(f"\\u{n:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _key(k) -> str:
+    """The '"key": ' prefix of a dict item, with k mapped to a string as
+    json.dumps maps it."""
+    if type(k) is str:
+        return _quote(k) + ": "
+    if k is None:
+        return '"null": '
+    if type(k) is bool:
+        return '"true": ' if k else '"false": '
+    if type(k) is int:
+        return f'"{int.__repr__(k)}": '
+    raise TypeError(f"keys must be str, int, bool or None, not {type(k).__name__}")
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document whose
+    containers are lists, tuples and dicts (keys str, int, bool or None)
+    and whose scalars are str, int, bool and None.  Any other type, float
+    included, raises TypeError.
+
+    Scalars in a dict and all-int lists are written without a call per
+    value, and each str key's prefix is rendered once per document."""
+    out = []
+    _write_json(doc, "\n", out.append, {})
+    return "".join(out)
+
+
+def _write_json(v, nl: str, write, prefixes: dict) -> None:
+    """Pass the JSON text of v to write, each line after a newline
+    indented as nl is; prefixes maps each str key met so far to its
+    '"key": ' and holds str keys only."""
+    t = type(v)
+    if t is dict:
+        if not v:
+            write("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, x in v.items():
+            p = prefixes.get(k)
+            if p is None:
+                if (type(k) is str and k.isascii() and k.isprintable()
+                        and '"' not in k and "\\" not in k):
+                    p = prefixes[k] = '"' + k + '": '
+                else:
+                    p = _key(k)
+            t = type(x)
+            if t is int:
+                write(sep + p + int.__repr__(x))
+            elif (t is str and x.isascii() and x.isprintable()
+                  and '"' not in x and "\\" not in x):
+                write(sep + p + '"' + x + '"')
+            elif t is bool:
+                write(sep + p + ("true" if x else "false"))
+            else:
+                write(sep + p)
+                _write_json(x, inner, write, prefixes)
+            sep = comma
+        write(nl + "}")
+    elif t is list or t is tuple:
+        if not v:
+            write("[]")
+            return
+        inner = nl + "  "
+        if {*map(type, v)} == {int}:  # no bool: type(True) is bool
+            write("[" + inner + ("," + inner).join(map(int.__repr__, v))
+                  + nl + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for x in v:
+            write(sep)
+            _write_json(x, inner, write, prefixes)
+            sep = comma
+        write(nl + "]")
+    elif t is str:
+        write(_quote(v))
+    elif t is int:
+        write(int.__repr__(v))
+    elif t is bool:
+        write("true" if v else "false")
+    elif v is None:
+        write("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(args, body: dict, text):
-    """Write the versioned JSON document of body under --format json, or
-    the string text() returns, to --out or stdout; only the printed
+    """Write the versioned JSON document of body under --format json (as
+    _dumps renders it, the bytes json.dumps(..., indent=2) would give),
+    or the string text() returns, to --out or stdout; only the printed
     format is rendered."""
     if args.format == "json":
-        payload = json.dumps({"schema_version": SCHEMA_VERSION,
-                              "tool_version": __version__, **body}, indent=2)
+        payload = _dumps({"schema_version": SCHEMA_VERSION,
+                          "tool_version": __version__, **body})
     else:
         payload = text()
     if args.out:

@@ -448,7 +448,8 @@ class TestQueryCommands:
 def test_startup_imports_no_dataclasses_or_fractions():
     # every command pays for what `import maxcurves.cli` loads
     probe = ("import maxcurves.cli, sys; print(sorted(m for m in ('dataclasses', "
-             "'inspect', 'fractions', 'argparse', 'gettext') if m in sys.modules))")
+             "'inspect', 'fractions', 'argparse', 'gettext', 'json', 're') "
+             "if m in sys.modules))")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
