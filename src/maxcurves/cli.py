@@ -74,52 +74,20 @@ def _parse_gens(spec: str) -> list[int]:
     return gens
 
 
-#: json's escapes for the characters that have a short one
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
 def _quote(s: str) -> str:
-    """s as a JSON string literal, escaped as json.dumps escapes it by
-    default (ensure_ascii): printable ASCII stays, other characters
-    become \\uXXXX and those above U+FFFF a surrogate pair."""
+    """s as a JSON string literal: printable ASCII with no '"' or '\\' needs
+    no escape, and any other string raises TypeError naming it."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return '"' + s + '"'
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif " " <= ch <= "~":
-            out.append(ch)
-        else:
-            n = ord(ch)
-            if n > 0xFFFF:
-                n -= 0x10000
-                out.append(f"\\u{0xD800 | n >> 10:04x}")
-                n = 0xDC00 | n & 0x3FF
-            out.append(f"\\u{n:04x}")
-    return '"' + "".join(out) + '"'
-
-
-def _key(k) -> str:
-    """The '"key": ' prefix of a dict item, with k mapped to a string as
-    json.dumps maps it."""
-    if type(k) is str:
-        return _quote(k) + ": "
-    if k is None:
-        return '"null": '
-    if type(k) is bool:
-        return '"true": ' if k else '"false": '
-    if type(k) is int:
-        return f'"{int.__repr__(k)}": '
-    raise TypeError(f"keys must be str, int, bool or None, not {type(k).__name__}")
+    raise TypeError(f"string {s!r} is not printable ASCII free of '\"' and '\\'")
 
 
 def _dumps(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte, for a document whose
-    containers are lists, tuples and dicts (keys str, int, bool or None)
-    and whose scalars are str, int, bool and None.  Any other type, float
-    included, raises TypeError.
+    """json.dumps(doc, indent=2), byte for byte, for the documents the
+    commands build: dicts with str or int keys, lists, and the scalars
+    str, int, bool and None, every str as _quote takes it.  Anything
+    else raises TypeError naming it: a float, a tuple, a bool or None
+    key, or a string that would need an escape.
 
     Scalars in a dict and all-int lists are written without a call per
     value, and each str key's prefix is rendered once per document."""
@@ -131,7 +99,8 @@ def _dumps(doc) -> str:
 def _write_json(v, nl: str, write, prefixes: dict) -> None:
     """Pass the JSON text of v to write, each line after a newline
     indented as nl is; prefixes maps each str key met so far to its
-    '"key": ' and holds str keys only."""
+    '"key": ' and holds str keys only (True == 1: an int entry would
+    let a bool key through)."""
     t = type(v)
     if t is dict:
         if not v:
@@ -145,8 +114,10 @@ def _write_json(v, nl: str, write, prefixes: dict) -> None:
                 if (type(k) is str and k.isascii() and k.isprintable()
                         and '"' not in k and "\\" not in k):
                     p = prefixes[k] = '"' + k + '": '
+                elif type(k) is int:
+                    p = f'"{int.__repr__(k)}": '
                 else:
-                    p = _key(k)
+                    raise TypeError(f"bad key {k!r} of type {type(k).__name__}")
             t = type(x)
             if t is int:
                 write(sep + p + int.__repr__(x))
@@ -160,7 +131,7 @@ def _write_json(v, nl: str, write, prefixes: dict) -> None:
                 _write_json(x, inner, write, prefixes)
             sep = comma
         write(nl + "}")
-    elif t is list or t is tuple:
+    elif t is list:
         if not v:
             write("[]")
             return

@@ -11,8 +11,6 @@ are exactly where bugs would hide.
 from __future__ import annotations
 
 from . import curves, numsg
-from .curves import CurveModel, PlaceCensus
-from .numsg import NumericalSemigroup
 
 
 class CheckResult:
@@ -28,8 +26,8 @@ class VerificationReport:
     deduced generic orders, and named pass/fail checks; every field but
     the first four starts empty."""
 
-    def __init__(self, curve: dict, field_spec: dict, q: int, p: int):
-        self.curve, self.field_spec, self.q, self.p = curve, field_spec, q, p
+    def __init__(self, curve: dict, field: dict, q: int, p: int):
+        self.curve, self.field, self.q, self.p = curve, field, q, p
         self.genus: dict = {}
         self.census: dict = {}
         self.semigroups: list = []
@@ -44,17 +42,15 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        """The fields in the order ``__init__`` sets them, ``field_spec``
-        as "field"."""
-        d = {"field" if k == "field_spec" else k: v for k, v in vars(self).items()}
-        return dict(d, checks=[dict(vars(c)) for c in self.checks],
+        """The fields in the order ``__init__`` sets them."""
+        return dict(vars(self), checks=[dict(vars(c)) for c in self.checks],
                     passing=self.passing)
 
 
 # ---------------------------------------------------------------------------
 # individual deductions
 
-def check_maximal(census: PlaceCensus, g: int, q: int) -> CheckResult:
+def check_maximal(census: curves.PlaceCensus, g: int, q: int) -> CheckResult:
     """Does the census attain the Hasse-Weil upper bound q^2 + 1 + 2gq?"""
     expected = curves.maximal_N(q, g)
     total = census.total
@@ -167,7 +163,8 @@ def deduce_epsilon_sequence(classes: dict, q: int, p: int, g: int) -> list[dict]
 # supplies only its census, its divisor table with the target and box the
 # monomial scan reads, expected sequences and extra checks
 
-def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationReport:
+def theorem_report(curve: curves.CurveModel,
+                   census_delta: int = 0) -> VerificationReport:
     """Run the full verification pipeline for a catalog curve.
 
     ``census_delta`` perturbs the enumerated census total (test hook for
@@ -179,7 +176,7 @@ def theorem_report(curve: CurveModel, census_delta: int = 0) -> VerificationRepo
     return reports[curve.family](curve, census_delta)
 
 
-def _start(curve: CurveModel, g: int, census: PlaceCensus,
+def _start(curve: curves.CurveModel, g: int, census: curves.PlaceCensus,
            census_delta: int) -> VerificationReport:
     """Apply the census delta and build the report, with no checks yet."""
     if census_delta:
@@ -193,7 +190,7 @@ def _start(curve: CurveModel, g: int, census: PlaceCensus,
 
 
 def _dimension(report: VerificationReport, g: int,
-               S: NumericalSemigroup | None) -> int | None:
+               S: numsg.NumericalSemigroup | None) -> int | None:
     """Frobenius dimension r, read off the Weierstrass semigroup S at a
     rational place or, when S is None, from the genus bound alone (None
     unless the bound leaves a single candidate); checks r == 3."""
@@ -211,7 +208,7 @@ def _dimension(report: VerificationReport, g: int,
 
 
 def _scanned_semigroup(report: VerificationReport, table, target: str,
-                       ranges: dict) -> tuple[dict, NumericalSemigroup]:
+                       ranges: dict) -> tuple[dict, numsg.NumericalSemigroup]:
     """Record and return the monomial scan for non-gaps at ``target``
     and the semigroup they generate."""
     scan = curves.weierstrass_nongaps_from_monomials(table, target, ranges, report.q)
@@ -250,7 +247,7 @@ def _finish_epsilon(report: VerificationReport, classes: dict,
         "them (automorphism transitivity)")
 
 
-def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
+def _gk_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
     qbar, d, q = curve.params["qbar"], curve.params["d"], curve.q
     g = curves.genus_gk(qbar)
     census = curves.count_gk_places(curve)
@@ -285,7 +282,7 @@ def _gk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     return report
 
 
-def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
+def _gsx49_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
     q, m = curve.q, curve.params["m"]
     g = curves.genus_gsx(q, m)
     census = curves.count_gsx49_places(curve)
@@ -327,7 +324,7 @@ def _gsx49_report(curve: CurveModel, census_delta: int) -> VerificationReport:
     return report
 
 
-def _fk_report(curve: CurveModel, census_delta: int) -> VerificationReport:
+def _fk_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
     q = curve.q
     g = curves.genus_fk(q)
     g0 = curves.genus_plane_smooth((q + 1) // 3)
@@ -390,9 +387,9 @@ def text_report(report: VerificationReport) -> str:
     lines = []
     c = report.curve
     lines.append(f"curve: {c['family']} {c['params']}  (q={report.q}, p={report.p})")
-    lines.append(f"field: F_{report.field_spec['order']} "
-                 f"(modulus {report.field_spec['modulus']}, "
-                 f"generator {report.field_spec['generator']})")
+    lines.append(f"field: F_{report.field['order']} "
+                 f"(modulus {report.field['modulus']}, "
+                 f"generator {report.field['generator']})")
     lines.append(f"genus: {report.genus}")
     lines.append(f"census: total {report.census['total']}  "
                  f"by class {report.census['by_class']}")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from maxcurves import cli, curves, gf, numsg, verify
+from test_golden import CATALOG
 
 
 def run_capture(argv, capsys):
@@ -373,6 +374,13 @@ class TestVerifyOutput:
         assert calls == []
         assert run_capture(["verify", "fk", "--q", "5"], capsys)[0] == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("entry", CATALOG)
+    def test_text_report_passes(self, entry, capsys):
+        code, out, _ = run_capture(["verify", *entry.split(), "--format", "text"],
+                                   capsys)
+        assert code == 0
+        assert out.endswith("\nresult: PASS\n")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
