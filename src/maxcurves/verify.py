@@ -3,6 +3,10 @@ verification reports, and the generic orders (0, 1, eps2, q) deduced by
 elimination (Stöhr–Voloch, Proc. LMS 52, 1986, §1): the p-adic criterion
 and the Weierstrass weight of each family's place classes.
 
+Every family's report comes from one pipeline, ``theorem_report``, which
+writes the step order once; a spec function per family supplies the
+data of each step and the checks only that family makes.
+
 Every bound comparison is an exact integer comparison g * den <= num on
 the unreduced terms of the genus bound; the floor-adjacent corner cases
 are exactly where bugs would hide.
@@ -159,69 +163,69 @@ def deduce_epsilon_sequence(classes: dict, q: int, p: int, g: int) -> list[dict]
 
 
 # ---------------------------------------------------------------------------
-# per-curve reports: one pipeline of shared steps; each family function
-# supplies only its census, its divisor table with the target and box the
-# monomial scan reads, expected sequences and extra checks
+# per-curve reports: one pipeline over per-family specs.  A spec function
+# looks each layer function up on its module when called, so the
+# benchmark's tracer and the tests' monkeypatches see every call.
 
 def theorem_report(curve: curves.CurveModel,
                    census_delta: int = 0) -> VerificationReport:
-    """Run the full verification pipeline for a catalog curve.
+    """Run the verification pipeline for a catalog curve: genus, census
+    and maximality, monomial scan, Frobenius dimension, orders at the
+    distinguished place, and the elimination of the generic orders.
 
     ``census_delta`` perturbs the enumerated census total (test hook for
     exercising failure paths); leave at 0 for real verification.
     """
-    reports = {"GK": _gk_report, "GSX49": _gsx49_report, "FK": _fk_report}
-    if curve.family not in reports:
+    specs = {"GK": _gk_spec, "GSX49": _gsx49_spec, "FK": _fk_spec}
+    if curve.family not in specs:
         raise ValueError(f"unknown curve family {curve.family!r}")
-    return reports[curve.family](curve, census_delta)
-
-
-def _start(curve: curves.CurveModel, g: int, census: curves.PlaceCensus,
-           census_delta: int) -> VerificationReport:
-    """Apply the census delta and build the report, with no checks yet."""
+    spec = specs[curve.family](curve)
+    q, genus = curve.q, spec["genus"]
+    g = genus["formula"]
+    census = spec["census"](curve)
     if census_delta:
         census.add(curves.AFFINE_SPLIT, census_delta)
         census.meta["injected_delta"] = census_delta
     report = VerificationReport(curve.to_fragment(), curve.field.to_fragment(),
-                                curve.q, curve.p)
-    report.genus["formula"] = g
-    report.census = census.to_fragment()
-    return report
+                                q, curve.p)
+    report.genus, report.census = genus, census.to_fragment()
+    if len(genus) > 1:
+        report.checks.append(CheckResult(
+            "genus-cross-check", len(set(genus.values())) == 1, dict(genus)))
+    report.checks.append(check_maximal(census, g, q))
 
-
-def _dimension(report: VerificationReport, g: int,
-               S: numsg.NumericalSemigroup | None) -> int | None:
-    """Frobenius dimension r, read off the Weierstrass semigroup S at a
-    rational place or, when S is None, from the genus bound alone (None
-    unless the bound leaves a single candidate); checks r == 3."""
-    dims = sorted(deduce_frobenius_dimension(report.q, g))
-    if S is None:
-        r = dims[0] if len(dims) == 1 else None
-        info = {"from_bound": dims}
+    # non-gaps at the distinguished place; with the full semigroup S they
+    # generate, r is read off S, else from the genus bound alone (None
+    # unless the bound leaves a single candidate)
+    scan = curves.weierstrass_nongaps_from_monomials(
+        spec["table"], spec["target"], spec["box"], q)
+    dims = sorted(deduce_frobenius_dimension(q, g))
+    if spec["semigroup"]:
+        S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
+        report.semigroups.append(S.to_fragment(q))
+        r = numsg.frobenius_dimension_from_semigroup(S, q)
+        dimension = {"from_semigroup": r, "from_bound": dims}
     else:
-        r = numsg.frobenius_dimension_from_semigroup(S, report.q)
-        info = {"from_semigroup": r, "from_bound": dims}
-    report.frobenius_dimension = dict(info, bound_conclusive=len(dims) == 1)
+        S, r = None, dims[0] if len(dims) == 1 else None
+        dimension = {"from_bound": dims}
+        report.semigroups.append({
+            "generators": [n for n in scan["nongaps"] if 0 < n <= q + 1],
+            "note": "certified non-gaps at the distinguished place, <= q+1",
+        })
+    report.frobenius_dimension = dict(dimension, bound_conclusive=len(dims) == 1)
+    before, after, classes = spec["checks"](census, scan, S, r)
+    report.checks += before
     report.checks.append(CheckResult(
-        "frobenius-dimension", r == 3 and r in dims, info))
-    return r
+        "frobenius-dimension", r == 3 and r in dims, dimension))
+    report.checks += after
+    if classes is None:  # no known orders to eliminate the generic ones with
+        return report
 
-
-def _scanned_semigroup(report: VerificationReport, table, target: str,
-                       ranges: dict) -> tuple[dict, numsg.NumericalSemigroup]:
-    """Record and return the monomial scan for non-gaps at ``target``
-    and the semigroup they generate."""
-    scan = curves.weierstrass_nongaps_from_monomials(table, target, ranges, report.q)
-    S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
-    report.semigroups.append(S.to_fragment(report.q))
-    return scan, S
-
-
-def _finish_epsilon(report: VerificationReport, classes: dict,
-                    r: int | None, expected: tuple[int, ...]):
-    """Shared tail: eliminate generic orders, weigh, validate j_2."""
-    q, g = report.q, report.genus["formula"]
-    table = deduce_epsilon_sequence(classes, q, report.p, g)
+    # orders are known per class ({class: (count, orders or None)});
+    # eliminate the generic orders, weigh, validate j_2
+    report.order_sequences = {name: list(j) for name, (_, j) in classes.items() if j}
+    expected = spec["expected"]
+    table = deduce_epsilon_sequence(classes, q, curve.p, g)
     survivors = [[0, 1, row["eps2"], q] for row in table if row["survives"]]
     details = {"candidates": table, "survivors": survivors,
                "expected": list(expected)}
@@ -245,141 +249,118 @@ def _finish_epsilon(report: VerificationReport, classes: dict,
     report.assumptions.append(
         "orders are recorded per place class; places within a class share "
         "them (automorphism transitivity)")
+    return report
 
 
-def _gk_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
+# Each spec function returns a family's data for theorem_report: its genus
+# forms (the first the formula, any other cross-checked against it), census
+# function, divisor table with the target place and box the monomial scan
+# reads, whether the scanned non-gaps generate the full semigroup, the
+# expected generic orders, and checks(census, scan, S, r), which returns
+# the family's own checks before and after the frobenius-dimension check
+# and its place classes to weigh (None: no known orders).
+
+def _gk_spec(curve: curves.CurveModel) -> dict:
     qbar, d, q = curve.params["qbar"], curve.params["d"], curve.q
     g = curves.genus_gk(qbar)
-    census = curves.count_gk_places(curve)
-    report = _start(curve, g, census, census_delta)
-    report.checks.append(check_maximal(census, g, q))
+
+    def checks(census, scan, S, r):
+        ram = numsg.rational_point_orders(S, q)
+        n = census.counts
+        # unramified class: the transitivity argument pins a single shared
+        # sequence; it is consumed as given, not recomputed
+        classes = {"ramified": (n.get(curves.ZERO_OF_COVER, 0)
+                                + n.get(curves.INFINITE, 0), ram),
+                   "unramified": (n.get(curves.AFFINE_SPLIT, 0),
+                                  (0, 1, qbar, q + 1))}
+        return ([CheckResult(
+                    "ramified-semigroup-gap-count", S.genus == g,
+                    {"generators": list(S.minimal_generators), "gaps": S.genus,
+                     "curve_genus": g})],
+                [CheckResult(
+                    "ramified-orders", ram == (0, 1, d, q + 1),
+                    {"computed": list(ram), "expected": [0, 1, d, q + 1]})],
+                classes)
 
     # semigroup at the fully ramified place P0: a sub-semigroup of H(P0)
     # with g gaps is H(P0)
-    _, S = _scanned_semigroup(report, curves.gk_divisor_table(qbar), "P0",
-                              {"x": range(2), "y": range(2), "z": range(2)})
-    report.checks.append(CheckResult(
-        "ramified-semigroup-gap-count", S.genus == g,
-        {"generators": list(S.minimal_generators), "gaps": S.genus,
-         "curve_genus": g}))
-    r = _dimension(report, g, S)
-
-    ram = numsg.rational_point_orders(S, q)
-    report.order_sequences["ramified"] = list(ram)
-    report.checks.append(CheckResult(
-        "ramified-orders", ram == (0, 1, d, q + 1),
-        {"computed": list(ram), "expected": [0, 1, d, q + 1]}))
-
-    # unramified class: the transitivity argument pins a single shared
-    # sequence; it is consumed as given, not recomputed
-    unram = (0, 1, qbar, q + 1)
-    report.order_sequences["unramified"] = list(unram)
-
-    n = census.counts
-    classes = {"ramified": (n[curves.ZERO_OF_COVER] + n[curves.INFINITE], ram),
-               "unramified": (n[curves.AFFINE_SPLIT], unram)}
-    _finish_epsilon(report, classes, r, (0, 1, qbar, q))
-    return report
+    return {"genus": {"formula": g}, "census": curves.count_gk_places,
+            "table": curves.gk_divisor_table(qbar), "target": "P0",
+            "box": {"x": range(2), "y": range(2), "z": range(2)},
+            "semigroup": True, "expected": (0, 1, qbar, q), "checks": checks}
 
 
-def _gsx49_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
-    q, m = curve.q, curve.params["m"]
-    g = curves.genus_gsx(q, m)
-    census = curves.count_gsx49_places(curve)
-    report = _start(curve, g, census, census_delta)
-    report.checks.append(check_maximal(census, g, q))
-
-    k = census.meta["sixteenth_power_fibers"]
-    report.checks.append(CheckResult(
-        "sixteenth-power-fiber-count", 16 * k + 4 == census.total,
-        {"fibers_with_16_roots": k, "reconstructed_total": 16 * k + 4}))
-
-    scan, S = _scanned_semigroup(
-        report, curves.gsx49_divisor_table(), "Pinf",
-        {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)})
-    certified = {5, 7, 8, 10, 12, 13}
-    report.checks.append(CheckResult(
-        "monomial-certified-nongaps",
-        certified <= set(scan["nongaps"]) and 6 not in scan["nongaps"],
-        {"required": sorted(certified),
-         "witnesses": {n: scan["witnesses"][n] for n in sorted(certified)},
-         "six_absent": 6 not in scan["nongaps"]}))
-    report.checks.append(CheckResult(
-        "small-nongaps", numsg.nongaps_upto(S, 8) == [0, 5, 7, 8],
-        {"nongaps_upto_8": numsg.nongaps_upto(S, 8)}))
-    report.checks.append(CheckResult(
-        "semigroup-gap-count", S.genus == g,
-        {"gaps": S.genus, "curve_genus": g}))
-    r = _dimension(report, g, S)
-
-    orders = numsg.rational_point_orders(S, q)
-    report.order_sequences["Pinf"] = list(orders)
-    floor_form = q + 1 - (2 * (q + 1)) // 3
-    report.checks.append(CheckResult(
-        "j2-at-Pinf", orders == (0, 1, 3, 8) and orders[2] == floor_form,
-        {"orders": list(orders), "floor_form": floor_form}))
-
-    classes = {"Pinf": (1, orders), "other": (census.total - 1, None)}
-    _finish_epsilon(report, classes, r, (0, 1, 2, q))
-    return report
-
-
-def _fk_report(curve: curves.CurveModel, census_delta: int) -> VerificationReport:
+def _gsx49_spec(curve: curves.CurveModel) -> dict:
     q = curve.q
-    g = curves.genus_fk(q)
-    g0 = curves.genus_plane_smooth((q + 1) // 3)
-    census = curves.count_fk_places(curve)
-    report = _start(curve, g, census, census_delta)
-    report.genus["riemann_hurwitz"] = 1 + 3 * (g0 - 1) + (q + 1)
-    report.checks.append(CheckResult(
-        "genus-cross-check", report.genus["riemann_hurwitz"] == g,
-        dict(report.genus)))
-    report.checks.append(check_maximal(census, g, q))
+    g = curves.genus_gsx(q, curve.params["m"])
 
-    violations = census.meta["condition5_violations"]
-    report.checks.append(CheckResult(
-        "split-condition-everywhere", violations == 0,
-        {"violations": violations}))
-    report.checks.append(CheckResult(
-        "fully-ramified-count",
-        census.meta["fully_ramified_places"] == q + 1,
-        {"count": census.meta["fully_ramified_places"], "expected": q + 1}))
-    r = _dimension(report, g, None)
+    def checks(census, scan, S, r):
+        k = census.meta["sixteenth_power_fibers"]
+        certified, nongaps = (5, 7, 8, 10, 12, 13), set(scan["nongaps"])
+        small = numsg.nongaps_upto(S, 8)
+        orders = numsg.rational_point_orders(S, q)
+        floor_form = q + 1 - (2 * (q + 1)) // 3
+        return ([CheckResult(
+                    "sixteenth-power-fiber-count", 16 * k + 4 == census.total,
+                    {"fibers_with_16_roots": k, "reconstructed_total": 16 * k + 4}),
+                 CheckResult(
+                    "monomial-certified-nongaps",
+                    nongaps.issuperset(certified) and 6 not in nongaps,
+                    {"required": list(certified),
+                     "witnesses": {n: scan["witnesses"].get(n) for n in certified},
+                     "six_absent": 6 not in nongaps}),
+                 CheckResult("small-nongaps", small == [0, 5, 7, 8],
+                             {"nongaps_upto_8": small}),
+                 CheckResult("semigroup-gap-count", S.genus == g,
+                             {"gaps": S.genus, "curve_genus": g})],
+                [CheckResult(
+                    "j2-at-Pinf", orders == (0, 1, 3, 8) and orders[2] == floor_form,
+                    {"orders": list(orders), "floor_form": floor_form})],
+                {"Pinf": (1, orders), "other": (census.total - 1, None)})
+
+    return {"genus": {"formula": g}, "census": curves.count_gsx49_places,
+            "table": curves.gsx49_divisor_table(), "target": "Pinf",
+            "box": {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)},
+            "semigroup": True, "expected": (0, 1, 2, q), "checks": checks}
+
+
+def _fk_spec(curve: curves.CurveModel) -> dict:
+    q = curve.q
+    g0 = curves.genus_plane_smooth((q + 1) // 3)
+
+    def checks(census, scan, S, r):
+        violations = census.meta["condition5_violations"]
+        ramified = census.meta["fully_ramified_places"]
+        # pole order of x/(y-beta), whose only pole is the distinguished place
+        pole = next((n for n, w in scan["witnesses"].items()
+                     if w == {"x": 1, "y-beta": -1}), None)
+        # with r = 3 the non-gaps up to q+1 are exactly 0 < m_1 < q < q+1,
+        # and j_2 = q+1-m_1; a scan that certifies no m_1 leaves j_2 unknown
+        known = [n for n in scan["nongaps"] if n <= q + 1]
+        j2 = q + 1 - known[1] if len(known) > 1 else None
+        return ([CheckResult("split-condition-everywhere", violations == 0,
+                             {"violations": violations}),
+                 CheckResult("fully-ramified-count", ramified == q + 1,
+                             {"count": ramified, "expected": q + 1})],
+                [CheckResult("distinguished-pole-order", pole == q - 2,
+                             {"pole_order": pole, "expected": q - 2}),
+                 CheckResult("j2-at-distinguished-place",
+                             r == 3 and len(known) == 4 and j2 == 3,
+                             {"known_nongaps": known, "j2": j2})],
+                None if j2 is None else
+                {"distinguished": (ramified, (0, 1, j2, q + 1)),
+                 "split": (census.total - ramified, None)})
 
     # x^a (y-beta)^b is effective away from P0_beta iff 0 <= a <= -b, and
     # then its pole -3a-(q+1)b >= (q-2)(-b); a pole <= q+1 thus forces
     # -b <= (q+1)/(q-2) <= 2 (q >= 5), so this box holds every non-gap
     # the report reads
-    scan = curves.weierstrass_nongaps_from_monomials(
-        curves.fk_divisor_table(q), "P0_beta",
-        {"x": range(3), "y-beta": range(-2, 1)}, q)
-    # pole order of x/(y-beta), whose only pole is the distinguished place
-    pole = next((n for n, w in scan["witnesses"].items()
-                 if w == {"x": 1, "y-beta": -1}), None)
-    report.checks.append(CheckResult(
-        "distinguished-pole-order", pole == q - 2,
-        {"pole_order": pole, "expected": q - 2}))
-    known = [n for n in scan["nongaps"] if n <= q + 1]
-    report.semigroups.append({
-        "generators": known[1:],
-        "note": "certified non-gaps at the distinguished place, <= q+1",
-    })
-
-    # with r = 3 the non-gaps up to q+1 are exactly 0 < m_1 < q < q+1,
-    # and j_2 = q+1-m_1; a scan that certifies no m_1 leaves j_2 unknown
-    j2 = q + 1 - known[1] if len(known) > 1 else None
-    report.checks.append(CheckResult(
-        "j2-at-distinguished-place", r == 3 and len(known) == 4 and j2 == 3,
-        {"known_nongaps": known, "j2": j2}))
-    if j2 is None:  # no known orders to eliminate the generic ones with
-        return report
-    report.order_sequences["distinguished"] = [0, 1, j2, q + 1]
-
-    ramified = census.meta["fully_ramified_places"]
-    classes = {"ramified": (ramified, (0, 1, j2, q + 1)),
-               "split": (census.total - ramified, None)}
-    _finish_epsilon(report, classes, r, (0, 1, 2, q))
-    return report
+    return {"genus": {"formula": curves.genus_fk(q),
+                      "riemann_hurwitz": 1 + 3 * (g0 - 1) + (q + 1)},
+            "census": curves.count_fk_places,
+            "table": curves.fk_divisor_table(q), "target": "P0_beta",
+            "box": {"x": range(3), "y-beta": range(-2, 1)},
+            "semigroup": False, "expected": (0, 1, 2, q), "checks": checks}
 
 
 def text_report(report: VerificationReport) -> str:

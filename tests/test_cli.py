@@ -162,6 +162,12 @@ def _census_fault(edit):
     return fault
 
 
+def _splits(la, m, c, d):
+    """Does a class (coords, n, la, m, c) of the census walk split?"""
+    return (c is not None and not (m and la % m)
+            and ((la // m if m else 0) + c) % d == 0)
+
+
 def _move_a_split_point(monkeypatch):
     """Fault the census so one point of the first split class (all of a
     single-point class) moves into an inert class of its own; the returned
@@ -170,8 +176,7 @@ def _move_a_split_point(monkeypatch):
 
     def edit(classes, d):
         for coords, n, la, m, c in classes:
-            if (not moved and c is not None and not (m and la % m)
-                    and ((la // m if m else 0) + c) % d == 0):
+            if not moved and _splits(la, m, c, d):
                 moved.append(coords)
                 w = n // (m or 1)  # the base points of one point
                 yield coords, n - w, la, m, c
@@ -288,6 +293,19 @@ def _pole_of_x_over_y_minus_beta_off_by_one(scan, q):
     return dict(scan, witnesses=witnesses)
 
 
+def _scan_drops_witnessed(nongap):
+    # the scan misses the non-gap together with the monomial that certifies it
+    return _scan_fault(lambda scan, q: dict(
+        scan, nongaps=[n for n in scan["nongaps"] if n != nongap],
+        witnesses={n: w for n, w in scan["witnesses"].items() if n != nongap}))
+
+
+def _no_fiber_splits(classes, d):
+    # shift c by 1 on every split class: each becomes inert (d >= 3)
+    for coords, n, la, m, c in classes:
+        yield coords, n, la, m, c + 1 if _splits(la, m, c, d) else c
+
+
 def _pinf_j2_is_5(real):
     # 5 is not among the j_2 values {2, 3, 4} allowed at q = 7
     return lambda S, q: (0, 1, 5, 8)
@@ -319,15 +337,21 @@ class TestEveryCheckCanFail:
          {"ramified-semigroup-gap-count", "ramified-orders"}),
         (["gsx49"], (numsg, "rational_point_orders"), _pinf_j2_is_5,
          {"j2-at-Pinf", "j2-values-allowed"}),
+        (["gsx49"], (curves, "weierstrass_nongaps_from_monomials"),
+         _scan_drops_witnessed(5), {"monomial-certified-nongaps"}),
+        (["gk", "--qbar", "2"], (curves, "_kummer_census"),
+         _census_fault(_no_fiber_splits), {"maximality"}),
     ], ids=["gsx49-scan-drops-5", "gsx49-census-delta", "fk11-a0-fiber-root",
-            "fk11-pole-order", "gk3-extra-generator", "gsx49-pinf-j2-is-5"])
+            "fk11-pole-order", "gk3-extra-generator", "gsx49-pinf-j2-is-5",
+            "gsx49-scan-drops-5-and-its-witness", "gk2-no-fiber-splits"])
     def test_fault_fails_its_checks(self, capsys, monkeypatch, argv, target,
                                     fault, failed):
         if target:
             module, attr = target
             monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
-        code, checks = verify_json(["verify", *argv], capsys)
-        assert code == 1
+        code, out, err = run_capture(["verify", *argv, "--format", "json"], capsys)
+        checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
+        assert code == 1 and err == ""
         assert failed <= {name for name, c in checks.items() if not c["passed"]}
 
 

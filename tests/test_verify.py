@@ -367,6 +367,12 @@ class TestTheoremReports:
         assert rep.census["total"] == total == curves.maximal_N(
             rep.q, rep.genus["formula"])
 
+    def test_unknown_family_is_named(self):
+        curve = curves.gsx49_curve()
+        curve.family = "GGS"
+        with pytest.raises(ValueError, match="unknown curve family 'GGS'"):
+            verify.theorem_report(curve)
+
     def test_census_delta_breaks_the_weight(self, capsys):
         argv = ["verify", "gk", "--qbar", "2", "--inject-census-delta", "1"]
         assert cli.run(argv + ["--format", "json"]) == 1
