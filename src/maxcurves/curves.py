@@ -10,8 +10,10 @@ Three families are supported:
   x^((q+1)/3) + y^((q+1)/3) + 1 = 0 over F_{q^2}, for odd q = 2 mod 3.
 
 Everything is exact integer / finite-field arithmetic; no floats.  The
-censuses count on integer codes and discrete logs (``FieldSpec``'s
-tables) and solve for z only at the sample places they keep.
+censuses count on integer codes and discrete logs and solve for z only
+at the sample places they keep.  GK and GSX49 walk every element and
+read ``FieldSpec``'s tables; FK reads ``code``, ``log`` and
+``one_plus_every``, which for prime q need no table of q^2 entries.
 """
 
 from __future__ import annotations
@@ -201,10 +203,10 @@ def _fk_constant_w(F: FieldSpec, q: int) -> int:
     taken in exp order, the first solution is the one with the least
     log."""
     m3 = (q + 1) // 3
-    logs = root_logs(F._log[3 % F.p], m3, F.order - 1)
+    logs = root_logs(F.log(3 % F.p), m3, F.order - 1)
     if not logs:
         raise ValueError(f"no w with w^{m3} = 3 in F_{F.order}")
-    return F._exp[logs[0]]
+    return F.code(logs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +218,17 @@ def _points(F: FieldSpec, coords: tuple, la: int, m: int):
     if not m:
         yield coords, 0
         return
-    for j in sorted(root_logs(la, m, F.order - 1), key=F._exp.__getitem__):
-        yield coords + (F._exp[j],), j
+    for y, j in sorted((F.code(j), j) for j in root_logs(la, m, F.order - 1)):
+        yield coords + (y,), j
 
 
 def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
-                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
+                   ramified_id: str, points=_points) -> tuple[PlaceCensus, int, int]:
     """Count the places of z^d = f over the classes of affine base points
     that ``classes`` yields as (coords, n, la, m, c) in walk order.
 
-    A class stands for n base points; its points are those of _points,
+    A class stands for n base points; its points are those that
+    ``points(F, coords, la, m)`` lists (by default :func:`_points`),
     with log f = j + c, or a zero or pole of f where c is None (n fully
     ramified places, e = d).  m divides N = |F*|, so the class has points
     iff m divides la, and d divides N/m, the spacing of the roots, so the
@@ -246,15 +249,15 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
             if len(kept.get(ZERO_OF_COVER, ())) < SAMPLES_PER_CLASS:
                 census.add(ZERO_OF_COVER, 0, samples=(
                     Place(ramified_id.format(*pt), d)
-                    for pt, _ in _points(F, coords, la, m)))
+                    for pt, _ in points(F, coords, la, m)))
         elif ((la // m if m else 0) + c) % d:
             inert += n
         else:
             split += n
             if len(kept.get(AFFINE_SPLIT, ())) < SAMPLES_PER_CLASS:
                 census.add(AFFINE_SPLIT, 0, samples=(Place(split_id.format(
-                    *pt, nth_roots(F, F._exp[(j + c) % (F.order - 1)], d)[0]), 1)
-                    for pt, j in _points(F, coords, la, m)))
+                    *pt, nth_roots(F, F.code((j + c) % (F.order - 1)), d)[0]), 1)
+                    for pt, j in points(F, coords, la, m)))
     # the tags' first adds above fixed their key order
     for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
         if n:
@@ -359,33 +362,39 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     (the test for F_q) exactly when 3 divides log(wab).
 
     The walk takes one class per a.  With N = q^2 - 1 and a = g^i,
-    log(1 + a^m3) = one_plus[i m3 % N] depends only on i mod N/m3 =
-    3(q-1), a multiple of 3, so the a = g^i with i < 3(q-1) stand for all
-    N values of a, m3 each, with the same roots b and the same split test
-    3 | lw + i + j: a point (a, b) weighs m3 (a = 0's weigh 1).  Samples
+    log(1 + a^m3), entry i of F.one_plus_every(m3), depends only on
+    i mod N/m3 = 3(q-1), a multiple of 3, so the a = g^i with i < 3(q-1)
+    stand for all N values of a, m3 each, with the same roots b and the
+    same split test 3 | lw + i + j: a point (a, b) weighs m3 (a = 0's
+    weigh 1).  Samples
     still come from these points, the first 3(q-1) a of the full walk
     (zero, then exp order) with their roots in the same order: a prefix of
     its points, which keeps its samples while it holds SAMPLES_PER_CLASS
     points of each verdict that occurs.  It does: a = 0 gives m3 ramified
     points and each class m3 points of its verdict, m3 >= 3 for q >= 11,
-    and at q = 5 the prefix holds 3 ramified and 10 split points.
+    and at q = 5 the prefix holds 3 ramified and 10 split points.  A
+    class names a by its log i, () for a = 0, and codes are made only
+    for the points of the classes that draw samples.
     """
     F, m3 = curve.field, (curve.q + 1) // 3
-    N, exp, log, one_plus = F.order - 1, F._exp, F._log, F._one_plus
-    h = log[F.p - 1]
-    lw = log[curve.constants["w"]]
+    h = F.log(F.p - 1)
+    lw = F.log(curve.constants["w"])
 
     def classes():
-        yield (0,), m3, h, m3, None  # a = 0
-        for i, a in enumerate(exp[:N // m3]):  # i < 3(q-1)
-            s = one_plus[i * m3 % N]
+        yield (), m3, h, m3, None  # a = 0
+        # a = g^i, i < 3(q-1): s = log(1 + a^m3)
+        for i, s in enumerate(F.one_plus_every(m3)):
             if s < 0:  # b = 0
-                yield (a, 0), m3, 0, 0, None
+                yield (i,), m3, 0, 0, None
             else:
-                yield (a,), m3 * m3, h + s, m3, lw + i
+                yield (i,), m3 * m3, h + s, m3, lw + i
+
+    def points(F, coords, la, m):
+        a = F.code(*coords) if coords else 0
+        return _points(F, (a,) if m else (a, 0), la, m)
 
     census, _, inert = _kummer_census(F, 3, classes(), "fk:a={},b={},z={}",
-                                      "fk:a={},b={}")
+                                      "fk:a={},b={}", points)
     census.add(INFINITE, m3, samples=[Place("fk:Pinf,1", 3)])
     census.meta["condition5_violations"] = inert
     census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)

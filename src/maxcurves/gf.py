@@ -1,19 +1,25 @@
 """Exact arithmetic in small finite fields F_{p^k}.
 
-Fields are built eagerly with full discrete-log tables, so every field
-here must be tiny (the cap is ``FIELD_CAP`` elements).  An element is
-its integer code, the coefficient vector of the residue polynomial in
-base p, low coefficient first, and the module computes on codes and
-their discrete logs only.
+An element is its integer code, the coefficient vector of the residue
+polynomial in base p, low coefficient first, and the module computes on
+codes and their discrete logs only.  Every field here is small (the cap
+is ``FIELD_CAP`` elements).
 
-The modulus and generator searches multiply in F_p[x]/(f) on packed
-integers (:func:`_ring`): a product of residues is a fixed handful of
-integer operations, whatever k.  The exp table is a walk g^0, g^1, ...
-over codes.  Multiplying by g is F_p-linear, so the walk splits each
-code into a low and a high half and adds the images of the two halves
-under g, looked up in tables of about p^(k/2) entries built with one
-ring product per digit (see :func:`_split_multiplier`).  No table the
-build makes exceeds 2 p^k entries.
+Building a field finds its modulus and generator and nothing else.  The
+searches multiply in F_p[x]/(f) on packed integers (:func:`_ring`): a
+product of residues is a fixed handful of integer operations, whatever
+k.  Full log/exp/one-plus tables of p^k entries are built on first
+access.  The exp table is a walk g^0, g^1, ... over codes.  Multiplying
+by g is F_p-linear, so the walk splits each code into a low and a high
+half and adds the images of the two halves under g, looked up in tables
+of about p^(k/2) entries built with one ring product per digit (see
+:func:`_split_multiplier`).  No table the build makes exceeds 2 p^k
+entries.
+
+On F_{p^2}, ``FieldSpec.code`` and ``FieldSpec.log`` answer before the
+tables exist, through the points of P^1(F_p) with tables of about p
+entries (:func:`_projective`); on other fields their first use builds
+the tables.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def _lex_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def _split_multiplier(p: int, k: int, modulus: tuple[int, ...], g: int
+def _split_multiplier(p: int, k: int, ring, g: int
                       ) -> tuple[int, int, list[int], list[int], list[int]]:
     """Tables that multiply a code c by the code g with lookups alone.
 
@@ -171,7 +177,7 @@ def _split_multiplier(p: int, k: int, modulus: tuple[int, ...], g: int
         pj, wj = p ** j, w ** j
         wrap = [c + t % p * pj for t in range(w) for c in wrap]
         rewrap = [c + t % p * wj for t in range(w) for c in rewrap]
-    pack, code, mul = _ring(p, modulus)
+    pack, code, mul = ring
     gp = pack(g)
 
     def images(first: int, digits: int) -> list[int]:
@@ -192,44 +198,57 @@ def _split_multiplier(p: int, k: int, modulus: tuple[int, ...], g: int
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """An explicit model of F_{p^k} with precomputed log/exp tables.
+    """An explicit model of F_{p^k}: codes for elements, and a generator
+    g of full multiplicative order N = p^k - 1.
 
-    With N = p^k - 1 and g the generator, ``_exp[i]`` is the code of g^i
-    (i < N), ``_log[c]`` the log of the code c (-1 for zero), and
-    ``_one_plus[i]`` the log of 1 + g^i (-1 when 1 + g^i = 0), the
-    one-plus (Zech) log that turns addition into a table lookup:
-    g^i + g^j = g^(i + _one_plus[(j - i) % N]).  The censuses count on
-    these integers directly.
+    ``code(j)`` is the code of g^j (0 <= j < N), ``log(c)`` the log of
+    the code c (-1 for zero), and ``one_plus_every(step)`` the list of
+    one-plus (Zech) logs log(1 + g^j), -1 where 1 + g^j = 0, for j in
+    range(0, N, step).  The one-plus log turns addition into a lookup:
+    g^i + g^j = g^(i + log(1 + g^((j - i) % N))).
 
-    Immutable after construction; safe to share.  Use :func:`make_field`
-    to build one deterministically.
+    The constructor checks that g is primitive, or without one finds the
+    smallest primitive code, and does nothing else.  The tables
+    ``_exp``, ``_log`` and ``_one_plus`` of p^k entries (``_exp[i]`` is
+    code(i), ``_one_plus[i]`` the one-plus log of g^i) are built on first
+    access, and from then on the three functions read them; the censuses
+    that walk every element read the tables directly.  Before that, on
+    F_{p^2} the first use of one of the functions makes them from
+    :func:`_projective`; on other fields it builds the tables.
+    Deterministic, so safe to share.  Use :func:`make_field` to build
+    one.
     """
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...], generator: int):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...],
+                 generator: int | None = None):
         self.p = p
         self.k = k
-        self.order = p ** k
+        self.order = order = p ** k
         self.modulus = modulus
-        self.generator = generator
-        n = self.order - 1
-        P, W, wrap, low, high = _split_multiplier(p, k, modulus, generator)
-        exp = [0] * n
-        log = [-1] * self.order
-        lo, hi = 1, 0
-        for i in range(n):
-            x = lo + P * hi
-            exp[i] = x
-            log[x] = i
-            s = low[lo] + high[hi]
-            lo, hi = wrap[s % W], wrap[s // W]
-        if lo + P * hi != 1 or min(log[1:]) < 0:
+        self._ring = pack, _, mul = _ring(p, modulus)
+        exps = [(order - 1) // ell for ell in factorize(order - 1)]
+
+        def is_primitive(c: int) -> bool:  # c^(N/l) != 1 for every prime l | N
+            return all(_pow(mul, pack(c), e) != 1 for e in exps)
+
+        if generator is None:  # the smallest primitive code
+            # for k > 1 the codes below p are F_p, whose orders divide p - 1
+            generator = next(filter(is_primitive, range(p if k > 1 else 1, order)))
+        elif not (0 < generator < order and is_primitive(generator)):
             raise ValueError(f"{generator} is not a primitive element")
-        self._exp = exp
-        self._log = log
-        # succ[c] = log of c + 1, the constant digit wrapping mod p
-        succ = log[1:] + log[:1]
-        succ[p - 1::p] = log[::p]
-        self._one_plus = list(map(succ.__getitem__, exp))
+        self.generator = generator
+
+    def __getattr__(self, name: str):
+        # runs only while the attribute is missing: on its first read
+        if name in ("code", "log", "one_plus_every") and self.k == 2:
+            self.code, self.log, self.one_plus_every = _projective(self)
+        elif name in ("_exp", "_log", "_one_plus", "code", "log", "one_plus_every"):
+            self._exp, self._log, self._one_plus = exp, log, one_plus = _tables(self)
+            self.code, self.log = exp.__getitem__, log.__getitem__
+            self.one_plus_every = lambda step: one_plus[::step]
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
     def to_fragment(self) -> dict:
         """Serializable description, embedded into verification reports."""
@@ -243,6 +262,95 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(F_{self.order} = F_{self.p}^{self.k})"
+
+
+def _tables(F: FieldSpec) -> tuple[list[int], list[int], list[int]]:
+    """The exp, log and one-plus tables of F: the walk g^0, g^1, ... with
+    the split multiplier by g."""
+    p, n = F.p, F.order - 1
+    P, W, wrap, low, high = _split_multiplier(p, F.k, F._ring, F.generator)
+    exp = [0] * n
+    log = [-1] * F.order
+    lo, hi = 1, 0
+    for i in range(n):
+        x = lo + P * hi
+        exp[i] = x
+        log[x] = i
+        s = low[lo] + high[hi]
+        lo, hi = wrap[s % W], wrap[s // W]
+    # succ[c] = log of c + 1, the constant digit wrapping mod p
+    succ = log[1:] + log[:1]
+    succ[p - 1::p] = log[::p]
+    return exp, log, list(map(succ.__getitem__, exp))
+
+
+def _projective(F: FieldSpec):
+    """code, log and one_plus_every on F = F_{p^2} from tables of about p
+    entries: the points of P^1(F_p).
+
+    A code c = c0 + p c1 is the element c0 + c1 x, with c0, c1 in F_p.
+    gamma = g^(p+1) = g g^p, the norm of g, generates F_p*, and F*/F_p*
+    is cyclic of order p + 1: its classes are those of x and of r + x for
+    r in F_p, the points of P^1(F_p), and g^0, ..., g^p stand for them.
+    ``C[v]`` holds the two digits of g^v, from a walk of p + 1 products,
+    and ``L[r]`` the log of r + x.  Then g^j = gamma^u g^v for
+    (u, v) = divmod(j, p + 1), and c0 + c1 x with c1 != 0 is c1 (r + x)
+    with r = c0/c1, of log (p + 1) log c1 + L[r]: a few products mod p
+    and lookups in the F_p tables each.
+    """
+    p, N, q1 = F.p, F.order - 1, F.p + 1
+    f0, f1, _ = F.modulus
+    g0, g1 = F.generator % p, F.generator // p
+    # x x^p = f0 and x + x^p = -f1, so g g^p is the norm below
+    gamma = (g0 * g0 - f1 * g0 * g1 + f0 * g1 * g1) % p
+    exp = [1] * (p - 1)  # gamma^t, and its log on F_p
+    for t in range(1, p - 1):
+        exp[t] = exp[t - 1] * gamma % p
+    lq = [-1] * p
+    for t, e in enumerate(exp):
+        lq[e] = t
+    # times g = g0 + g1 x, with x^2 = -f1 x - f0
+    d, e = g0 - g1 * f1, g1 * f0
+    C, L = [], [0] * p
+    c0, c1 = 1, 0
+    for v in range(q1):
+        C.append((c0, c1))
+        if c1:  # exp[-l] is gamma^(-l): r = c0/c1
+            L[c0 * exp[-lq[c1]] % p] = (v - q1 * lq[c1]) % N
+        c0, c1 = (c0 * g0 - c1 * e) % p, (c0 * g1 + c1 * d) % p
+
+    def code(j: int) -> int:
+        u, v = divmod(j, q1)
+        c0, c1 = C[v]
+        return c0 * exp[u] % p + p * (c1 * exp[u] % p)
+
+    def log(c: int) -> int:
+        c1, c0 = divmod(c, p)
+        if not c1:
+            return q1 * lq[c0] if c0 else -1
+        return (q1 * lq[c1] + L[c0 * exp[-lq[c1]] % p]) % N
+
+    def one_plus_every(step: int) -> list[int]:
+        # j = i step: v = j mod (p+1) repeats with period P = (p+1)/gcd,
+        # and along a residue u = j div (p+1) steps by du = step/gcd.  With
+        # g^v = c0 + c1 x, 1 + g^j = (1 + gamma^u c0) + gamma^u c1 x is
+        # gamma^u c1 (r + x) with r = c0/c1 + gamma^-u/c1 when c1 != 0.
+        P, du = q1 // gcd(step, q1), step // gcd(step, q1)
+        out = [0] * len(range(0, N, step))
+        for r in range(min(P, len(out))):
+            u0, v = divmod(r * step, q1)
+            c0, c1 = C[v]
+            us = range(u0, u0 + du * len(range(r, len(out), P)), du)
+            if c1:
+                l1, i1 = lq[c1], exp[-lq[c1]]
+                out[r::P] = [(q1 * (l1 + u) + L[(c0 + exp[-u]) * i1 % p]) % N
+                             for u in us]
+            else:  # v = 0, c0 = 1: 1 + gamma^u lies in F_p
+                out[r::P] = [q1 * lq[a] if a else -1
+                             for a in [(exp[u] + 1) % p for u in us]]
+        return out
+
+    return code, log, one_plus_every
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +376,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     check_field_size(p, k)
     if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
-    modulus = _lex_smallest_irreducible(p, k)
-    generator = _find_generator(p, k, modulus)
-    return FieldSpec(p, k, modulus, generator)
-
-
-def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> int:
-    n = p ** k - 1
-    exps = [n // ell for ell in factorize(n)]
-    pack, _, mul = _ring(p, modulus)
-    # the tables are not built yet: powers on packed residues.  For
-    # k > 1 the codes below p are F_p, whose orders divide p - 1 < n.
-    for g in range(p if k > 1 else 1, n + 1):
-        a = pack(g)
-        if all(_pow(mul, a, e) != 1 for e in exps):
-            return g
-    raise AssertionError("no generator found")  # unreachable for a field
+    return FieldSpec(p, k, _lex_smallest_irreducible(p, k))
 
 
 def root_logs(la: int, n: int, N: int) -> range:
@@ -312,4 +405,4 @@ def nth_roots(F: FieldSpec, code: int, n: int) -> list[int]:
         raise ValueError("n must be positive")
     if code == 0:
         return [0]
-    return sorted(F._exp[i] for i in root_logs(F._log[code], n, F.order - 1))
+    return sorted(map(F.code, root_logs(F.log(code), n, F.order - 1)))

@@ -477,6 +477,27 @@ class TestQueryCommands:
         assert "inconclusive" in out
 
 
+@pytest.mark.parametrize("argv,builds", [
+    *((["verify", "fk", "--q", str(q)], False)
+      for q in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)),
+    (["verify", "gk", "--qbar", "2"], True),
+    (["verify", "gsx49"], True),
+])
+def test_only_gk_and_gsx49_build_field_tables(monkeypatch, capsys, argv, builds):
+    # FK counts on P^1(F_q): no table of q^2 entries; GK and GSX49 walk
+    # every element and read the tables
+    built, real = [], gf._tables
+
+    def spy(F):
+        built.append(F.order)
+        return real(F)
+
+    monkeypatch.setattr(gf, "_tables", spy)
+    assert cli.run(argv + ["--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert bool(built) == builds
+
+
 def test_startup_imports_no_dataclasses_or_fractions():
     # every command pays for what `import maxcurves.cli` loads
     probe = ("import maxcurves.cli, sys; print(sorted(m for m in ('dataclasses', "

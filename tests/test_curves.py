@@ -59,12 +59,17 @@ def walked_classes(monkeypatch, count, curve):
     return walked[0]
 
 
-def class_points(F, cls):
+def class_points(F, cls, family):
     """The points of one class in walk order, as (coords, lf): the roots
     g^j of y^m = g^la by code with lf = (j + c) mod N, or the single point
-    coords with lf = c when m = 0; lf is None where the class is ramified."""
+    coords with lf = c when m = 0; lf is None where the class is ramified.
+    An FK class names a by its log, (i,) for a = g^i and () for a = 0:
+    its points are (a, b) over the roots b, or (a, 0) when m = 0."""
     coords, _, la, m, c = cls
     N, exp = F.order - 1, F._exp
+    if family == "FK":
+        a = exp[coords[0]] if coords else 0
+        coords = (a,) if m else (a, 0)
     points = ([(coords + (exp[j],), j)
                for j in sorted(gf.root_logs(la, m, N), key=exp.__getitem__)]
               if m else [(coords, 0)])
@@ -76,7 +81,7 @@ def walked_fibers(monkeypatch, count, curve):
     as a list of (coords, lf, cls) in walk order."""
     return [(coords, lf, cls)
             for cls in walked_classes(monkeypatch, count, curve)
-            for coords, lf in class_points(curve.field, cls)]
+            for coords, lf in class_points(curve.field, cls, curve.family)]
 
 
 def assert_weights_count_orbits(fibers, qbar):
@@ -184,7 +189,7 @@ class TestHermitianPoints:
         assert set().union(*(tags for _, tags in verdicts)) == {"ramified", "split"}
         walked = []
         for cls in walked_classes(monkeypatch, curves.count_gk_places, curve)[1:]:
-            points = class_points(F, cls)
+            points = class_points(F, cls, curve.family)
             walked.append((len(points), {
                 "ramified" if lf is None else "inert" if lf % d else "split"
                 for _, lf in points}))
@@ -269,17 +274,19 @@ class TestFKCensus:
         w = FieldElement(curve.field, curve.constants["w"])
         assert w ** 2 == 3
 
-    @pytest.mark.parametrize("q", [5, 11])
+    @pytest.mark.parametrize("q", [5, 11, 71])
     def test_wrong_w_fails_the_split_check(self, q):
         # a w whose log is off by one mod 3 moves every fiber's cube test:
         # the class walk must still find each inert fiber
+        violations = {5: 20, 11: 176, 71: 40896}[q]
         curve = curves.fk_curve(q)
         F = curve.field
         N = F.order - 1
-        curve.constants["w"] = F._exp[(F._log[curve.constants["w"]] + 1) % N]
+        curve.constants["w"] = F.code((F.log(curve.constants["w"]) + 1) % N)
         census = curves.count_fk_places(curve)
+        assert "_exp" not in vars(F)  # the P^1 census, not the tables
         assert census.to_fragment() == reference_census(curve).to_fragment()
-        assert census.meta["condition5_violations"] > 0
+        assert census.meta["condition5_violations"] == violations
         checks = {c.name: c for c in verify.theorem_report(curve).checks}
         assert not checks["split-condition-everywhere"].passed
 
@@ -394,14 +401,20 @@ class TestRamificationIndex:
 
 
 class TestReferenceCensus:
-    @pytest.mark.parametrize("family,param", CENSUS_CASES + [("gk", 5)])
+    @pytest.mark.parametrize("family,param", CENSUS_CASES + [("gk", 5)] + [
+        ("fk", q) for q in (47, 53, 59, 71, 89, 125)])
     def test_matches_reference_census(self, monkeypatch, family, param):
-        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5
+        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89, 125
         count, curve = catalog_census(family, param)
-        assert count(curve).to_fragment() == reference_census(curve).to_fragment()
+        census = count(curve).to_fragment()
+        # FK counts on P^1 for prime q, without the field's tables; q = 125
+        # (k = 6), GK and GSX49 read the tables
+        assert ("_exp" in vars(curve.field)) == (family != "fk" or curve.field.k != 2)
+        assert census == reference_census(curve).to_fragment()
 
-    @pytest.mark.parametrize("q", [5, 11, 17, 41])
-    def test_constant_w_is_first_in_enumeration_order(self, q):
+    @pytest.mark.parametrize("q", FK_CATALOG + (89, 125))
+    def test_constant_w_is_first_in_enumeration_order(self, monkeypatch, q):
+        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits 89, 125
         F = curves.fk_curve(q).field
         first = next(w for w in enumerate_field(F) if w ** ((q + 1) // 3) == 3)
         assert curves.fk_curve(q).constants["w"] == first.code
@@ -432,8 +445,9 @@ class TestReferenceCensus:
         # and the sample's z is the least code among the d-th roots
         model = curve()
         F, N = model.field, model.field.order - 1
-        fibers = walked_fibers(monkeypatch, count, model)
         census, calls = solved_roots(monkeypatch, count, model)
+        calls = calls[:]  # the walk below runs the census again
+        fibers = walked_fibers(monkeypatch, count, model)
         split = [lf for _, lf, _ in fibers if lf is not None and lf % d == 0]
         kept = split[:curves.SAMPLES_PER_CLASS]
         samples = census.samples[curves.AFFINE_SPLIT]

@@ -1,6 +1,7 @@
 """Field construction and arithmetic, checked against brute-force oracles."""
 
 import itertools
+import random
 import sys
 import tracemalloc
 from math import gcd
@@ -255,6 +256,45 @@ class TestLogTables:
                     == brute_nth_roots(f49, f49._exp[la], n))
 
 
+def fields_of_degree(k):
+    return [(p, k) for p in PRIMES if p ** k <= gf.FIELD_CAP]
+
+
+class TestLazyTables:
+    """code, log and one_plus_every answer on F_{p^2} before the tables
+    exist, through P^1(F_p); on other fields their first use builds the
+    tables."""
+
+    @pytest.mark.parametrize("k", range(1, gf.FIELD_CAP.bit_length()))
+    def test_code_and_log_without_tables(self, k):
+        # every field with p^k <= FIELD_CAP, against the tables built after:
+        # 1, -1, g and g^(N-1), and seeded random elements
+        rng = random.Random(k)
+        for p, k in fields_of_degree(k):
+            F = gf.make_field(p, k)
+            N = F.order - 1
+            logs = [0, N // 2, 1 % N, N - 1] + [rng.randrange(N) for _ in range(4)]
+            codes = [1, p - 1, F.generator, 0] + [rng.randrange(F.order)
+                                                  for _ in range(4)]
+            before = [F.code(j) for j in logs], [F.log(c) for c in codes]
+            assert ("_exp" in vars(F)) == (k != 2)
+            tables = [F._exp[j] for j in logs], [F._log[c] for c in codes]
+            after = [F.code(j) for j in logs], [F.log(c) for c in codes]
+            assert before == tables == after, (p, k)
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (11, 2), (71, 2), (73, 2),
+                                     (7, 1), (2, 6), (3, 3), (5, 4)])
+    def test_one_plus_every_is_a_slice_of_the_table(self, p, k):
+        F = gf.make_field(p, k)
+        N = F.order - 1
+        steps = sorted({s for s in (1, 2, 3, 5, (p + 1) // 3, p - 1, p, p + 1, N - 1, N)
+                        if s > 0})
+        got = [F.one_plus_every(s) for s in steps]
+        assert ("_exp" in vars(F)) == (k != 2)
+        assert got == [F._one_plus[::s] for s in steps]
+        assert got == [F.one_plus_every(s) for s in steps]  # on the tables now
+
+
 def reference_tables(F):
     """Oracle: the log/exp/one-plus tables by one coefficient-list
     product per element, with F's modulus and generator."""
@@ -298,6 +338,7 @@ class TestTableBuild:
         tracemalloc.start()
         try:
             F = gf.make_field(p, k)
+            F._exp  # the tables are built on first access
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -309,6 +350,15 @@ class TestTableBuild:
         assert F.generator != code
         with pytest.raises(ValueError, match="not a primitive element"):
             gf.FieldSpec(p, k, F.modulus, code)
+
+    @pytest.mark.parametrize("p,k,code", [(2, 12, 2), (7, 2, 1), (7, 2, 0), (7, 2, 49)])
+    def test_rejected_generator_builds_no_table(self, monkeypatch, p, k, code):
+        F = gf.make_field(p, k)
+        built = []
+        monkeypatch.setattr(gf, "_tables", lambda F: built.append(F.order))
+        with pytest.raises(ValueError, match="not a primitive element"):
+            gf.FieldSpec(p, k, F.modulus, code)
+        assert built == []
 
     @pytest.mark.parametrize("p,k", [(7, 1), (5479, 1)] + EXTENSION_FIELDS)
     def test_generator_is_the_smallest_primitive_code(self, p, k):
