@@ -231,12 +231,13 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
     ``points(F, coords, la, m)`` lists (by default :func:`_points`),
     with log f = j + c, or a zero or pole of f where c is None (n fully
     ramified places, e = d).  m divides N = |F*|, so the class has points
-    iff m divides la, and d divides N/m, the spacing of the roots, so the
-    root j = la/m decides the class: it splits into d n places when d
-    divides j + c and is inert otherwise.  The counts add up in locals and
-    reach the census once, at the end; points are listed, and the least z
-    solved, only while a tag still draws samples.  Returns the census and
-    the split and inert base point counts.
+    iff m divides la (the walks yield only such classes; any other is
+    skipped), and d divides N/m, the spacing of the roots, so the root
+    j = la/m decides the class: d n places when d divides j + c, inert
+    otherwise.  The counts add up in locals and reach the census once, at
+    the end; points are listed, and the least z solved, only while a tag
+    still draws samples.  Returns the census and the split and inert base
+    point counts.
     """
     census = PlaceCensus()
     kept = census.samples
@@ -278,12 +279,13 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
       again a simple zero of u, fully ramified, 1 place.
 
     On logs (h = log(-1)) the walk takes the origin, then one class per
-    x0 = g^i in exp order, for the i below.  s = log den, one one-plus
-    lookup, also gives y0^(qbar+1) = x0 (1 + x0^(qbar-1)) = g^(i+s)
-    (s < 0: y0 = 0 only), and num = -(1 + (-1) x0^(qbar^2-1)) is one
-    more: log u = log y0 + h + log num - s.
+    x0 = g^i with points in exp order, for the i below.  s = log den, one
+    one-plus lookup, also gives y0^(qbar+1) = x0 (1 + x0^(qbar-1)) =
+    g^(i+s) (s < 0: y0 = 0 only), so x0 has points iff s < 0 or qbar+1
+    divides i + s, about one x0 in qbar+1.  One more lookup gives
+    num = -(1 + (-1) x0^(qbar^2-1)): log u = log y0 + h + log num - s.
 
-    The walk takes one class per F_qbar*-orbit of x0 != 0.  For mu in
+    The walk takes at most one class per F_qbar*-orbit of x0.  For mu in
     F_{qbar^2}*, (x, y, z) -> (mu^(qbar+1) x, mu y, nu z) with nu^d = mu
     is an automorphism over F_{qbar^6}: both sides of the Hermitian
     equation gain the factor mu^(qbar+1), which lies in F_qbar*, so
@@ -292,8 +294,8 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     N = qbar^6-1 the classes i and i + N/(qbar-1) get one verdict, and the
     x0 = g^i with i < N/(qbar-1) stand for all N, qbar-1 each (the norm
     mu^(qbar+1) takes every value in F_qbar* = <g^(N/(qbar-1))>).
-    Samples still come from these points, the origin and the first
-    N/(qbar-1) x0 of the full walk with their roots in the same order: a
+    Samples still come from these points (a dropped x0 has none), the
+    origin and the first N/(qbar-1) x0 of the full walk in order: a
     prefix of its points, which keeps its samples while it holds
     SAMPLES_PER_CLASS points of each verdict that occurs.  It does: the
     origin, x0 = 1 and x0 = g^(N/(qbar^2-1)) are ramified points or carry
@@ -304,19 +306,22 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     The census only counts; the report judges it against Hasse-Weil.
     """
     qbar, F = curve.params["qbar"], curve.field
-    N, exp, one_plus = F.order - 1, F._exp, F._one_plus
-    h = F._log[F.p - 1]
+    exp, one_plus, h = F._exp, F._one_plus, F._log[F.p - 1]
     w, m = qbar - 1, qbar + 1  # x0s per orbit, points per x0
+    # log num at i < N/w is one_plus[(i w m + h) % N], of period N/(w m)
+    den, wm = one_plus[::w], w * m
+    num = (one_plus[h::wm] + one_plus[h % wm:h:wm]) * m
+    hit = [i for i, s in enumerate(den) if s < 0 or not (i + s) % m]
 
     def classes():
         yield (0, 0), 1, 0, 0, None
-        # s = one_plus[i w] for i < N/w: the slice ends the walk
-        for i, (x0, s) in enumerate(zip(exp, one_plus[::w])):
+        for i in hit:
+            s = den[i]
             if s < 0:
-                yield (x0, 0), w, 0, 0, None
+                yield (exp[i], 0), w, 0, 0, None
                 continue
-            l_num = one_plus[(i * w * m + h) % N]
-            yield (x0,), w * m, i + s, m, None if l_num < 0 else h + l_num - s
+            l_num = num[i]
+            yield (exp[i],), w * m, i + s, m, None if l_num < 0 else h + l_num - s
 
     census, split, inert = _kummer_census(
         F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
@@ -361,29 +366,30 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     m3 log(wab) (mod N), and since q+1 = 3 m3 divides N, q+1 divides it
     (the test for F_q) exactly when 3 divides log(wab).
 
-    The walk takes one class per a.  With N = q^2 - 1 and a = g^i,
-    log(1 + a^m3), entry i of F.one_plus_every(m3), depends only on
-    i mod N/m3 = 3(q-1), a multiple of 3, so the a = g^i with i < 3(q-1)
-    stand for all N values of a, m3 each, with the same roots b and the
-    same split test 3 | lw + i + j: a point (a, b) weighs m3 (a = 0's
-    weigh 1).  Samples
-    still come from these points, the first 3(q-1) a of the full walk
-    (zero, then exp order) with their roots in the same order: a prefix of
-    its points, which keeps its samples while it holds SAMPLES_PER_CLASS
-    points of each verdict that occurs.  It does: a = 0 gives m3 ramified
-    points and each class m3 points of its verdict, m3 >= 3 for q >= 11,
-    and at q = 5 the prefix holds 3 ramified and 10 split points.  A
-    class names a by its log i, () for a = 0, and codes are made only
-    for the points of the classes that draw samples.
+    The walk takes one class per a with points: s = log(1 + a^m3) < 0
+    (b = 0) or m3 | h + s.  With N = q^2 - 1 and a = g^i, s, entry i of
+    F.one_plus_every(m3), depends only on i mod N/m3 = 3(q-1), a multiple
+    of 3, so the a = g^i with i < 3(q-1) stand for all N values of a, m3
+    each, with the same roots b and the same split test 3 | lw + i + j: a
+    point (a, b) weighs m3 (a = 0's weigh 1).  Samples still come from
+    these points (a dropped a has none), the first 3(q-1) a of the full
+    walk (zero, then exp order) with their roots in the same order: a
+    prefix of its points, which keeps its samples while it holds
+    SAMPLES_PER_CLASS points of each verdict that occurs.  It does: a = 0
+    gives m3 ramified points and each class m3 points of its verdict,
+    m3 >= 3 for q >= 11, and at q = 5 the prefix holds 3 ramified and 10
+    split points.  A class names a by its log i, () for a = 0, and codes
+    are made only for the points of the classes that draw samples.
     """
     F, m3 = curve.field, (curve.q + 1) // 3
     h = F.log(F.p - 1)
     lw = F.log(curve.constants["w"])
+    ops = F.one_plus_every(m3)  # a = g^i, i < 3(q-1): s = log(1 + a^m3)
 
     def classes():
         yield (), m3, h, m3, None  # a = 0
-        # a = g^i, i < 3(q-1): s = log(1 + a^m3)
-        for i, s in enumerate(F.one_plus_every(m3)):
+        for i in [i for i, s in enumerate(ops) if s < 0 or not (h + s) % m3]:
+            s = ops[i]
             if s < 0:  # b = 0
                 yield (i,), m3, 0, 0, None
             else:

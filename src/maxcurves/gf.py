@@ -208,7 +208,10 @@ class FieldSpec:
     g^i + g^j = g^(i + log(1 + g^((j - i) % N))).
 
     The constructor checks that g is primitive, or without one finds the
-    smallest primitive code, and does nothing else.  The tables
+    smallest primitive code, and does nothing else.  With N = (p-1) M,
+    c^(N/l) for a prime l | p-1 is a power of the norm c^M, which lies in
+    F_p and takes the builtin ``pow``; for the other primes l | M,
+    c^(N/l) = 1 iff c^(M/l) lies in F_p.  The tables
     ``_exp``, ``_log`` and ``_one_plus`` of p^k entries (``_exp[i]`` is
     code(i), ``_one_plus[i]`` the one-plus log of g^i) are built on first
     access, and from then on the three functions read them; the censuses
@@ -226,10 +229,15 @@ class FieldSpec:
         self.order = order = p ** k
         self.modulus = modulus
         self._ring = pack, _, mul = _ring(p, modulus)
-        exps = [(order - 1) // ell for ell in factorize(order - 1)]
+        M, x = (order - 1) // (p - 1), pack(p)  # F_p packs below x
+        small = [(p - 1) // ell for ell in factorize(p - 1)]
+        large = [M // ell for ell in factorize(M) if (p - 1) % ell]
 
         def is_primitive(c: int) -> bool:  # c^(N/l) != 1 for every prime l | N
-            return all(_pow(mul, pack(c), e) != 1 for e in exps)
+            a = pack(c)
+            norm = _pow(mul, a, M) if small else 0  # p = 2: no prime of p - 1
+            return (all(pow(norm, e, p) != 1 for e in small)
+                    and all(_pow(mul, a, e) >= x for e in large))
 
         if generator is None:  # the smallest primitive code
             # for k > 1 the codes below p are F_p, whose orders divide p - 1

@@ -108,6 +108,20 @@ def gk_x_verdicts(curve):
     return verdicts
 
 
+def assert_walks_the_orbits_with_points(classes, curve):
+    """The GK classes after the origin are the F_qbar*-orbits of x0 whose
+    gk_x_verdicts entry has points, in walk order; the dropped orbits
+    have none.  Returns the orbits' verdicts."""
+    F, qbar = curve.field, curve.params["qbar"]
+    verdicts = gk_x_verdicts(curve)[:(F.order - 1) // (qbar - 1)]
+    assert classes[0] == ((0, 0), 1, 0, 0, None)
+    walked = [coords[0] for coords, *_ in classes[1:]]
+    assert walked == [F._exp[i] for i, (n, _) in enumerate(verdicts) if n]
+    dropped = set(F._exp[:len(verdicts)]) - set(walked)
+    assert dropped and all(verdicts[F._log[x0]] == (0, set()) for x0 in dropped)
+    return verdicts
+
+
 def solved_roots(monkeypatch, count, curve):
     """The census ``count`` returns for curve, and each curves.nth_roots
     call it makes, as (code, n)."""
@@ -131,12 +145,13 @@ class TestHermitianPoints:
         assert fibers[0][:2] == ((0, 0), None)
 
     def test_count_f729(self, monkeypatch):
-        # 891 affine points: the origin and 728/2 orbits of x0, whose
-        # weights add up to the whole walk
-        classes = walked_classes(monkeypatch, curves.count_gk_places,
-                                 curves.gk_curve(3))
-        assert len(classes) == 1 + 728 // 2
-        assert sum(n for _, n, la, m, _ in classes if not (m and la % m)) == 891
+        # 891 affine points: the origin and the 112 of the 728/2 orbits of
+        # x0 that have points, whose weights add up to the whole walk
+        curve = curves.gk_curve(3)
+        classes = walked_classes(monkeypatch, curves.count_gk_places, curve)
+        assert_walks_the_orbits_with_points(classes, curve)
+        assert len(classes) == 1 + 112
+        assert sum(n for _, n, *_ in classes) == 891
 
     @pytest.mark.parametrize("qbar,p,k", [(2, 2, 6), (3, 3, 6)])
     def test_double_count_oracle(self, monkeypatch, qbar, p, k):
@@ -161,14 +176,11 @@ class TestHermitianPoints:
 
     @pytest.mark.parametrize("qbar", [2, 3, 4])
     def test_hands_the_census_one_class_per_orbit(self, monkeypatch, qbar):
-        # the origin and N/(qbar-1) classes of x0: no fallback to all N
+        # the origin and one class per orbit of x0 with points, among the
+        # first N/(qbar-1) x0: no fallback to all N
         curve = curves.gk_curve(qbar)
-        F = curve.field
-        N = F.order - 1
         classes = walked_classes(monkeypatch, curves.count_gk_places, curve)
-        assert len(classes) == 1 + N // (qbar - 1)
-        assert classes[0] == ((0, 0), 1, 0, 0, None)
-        assert [coords[0] for coords, *_ in classes[1:]] == F._exp[:N // (qbar - 1)]
+        assert_walks_the_orbits_with_points(classes, curve)
         # qbar - 1 x0 each, with qbar + 1 points over x0 or (den = 0) one
         for coords, n, la, m, c in classes[1:]:
             assert (n, m) == (((qbar - 1) * (qbar + 1), qbar + 1) if m
@@ -178,7 +190,8 @@ class TestHermitianPoints:
     @pytest.mark.parametrize("qbar", [2, 3, 4])
     def test_orbit_mates_share_a_verdict(self, monkeypatch, qbar):
         # class i and class i + N/(qbar-1) have the same verdict for every i,
-        # and the walked classes have the verdicts element arithmetic gives
+        # and the walked classes, the orbits with points, have the verdicts
+        # element arithmetic gives
         curve = curves.gk_curve(qbar)
         F, d = curve.field, curve.params["d"]
         N, step = F.order - 1, (F.order - 1) // (qbar - 1)
@@ -187,13 +200,26 @@ class TestHermitianPoints:
         # one verdict per x0; GK is maximal, so no fiber is inert
         assert all(len(tags) <= 1 for _, tags in verdicts)
         assert set().union(*(tags for _, tags in verdicts)) == {"ramified", "split"}
+        classes = walked_classes(monkeypatch, curves.count_gk_places, curve)
+        orbits = assert_walks_the_orbits_with_points(classes, curve)
         walked = []
-        for cls in walked_classes(monkeypatch, curves.count_gk_places, curve)[1:]:
+        for cls in classes[1:]:
             points = class_points(F, cls, curve.family)
             walked.append((len(points), {
                 "ramified" if lf is None else "inert" if lf % d else "split"
                 for _, lf in points}))
-        assert walked == verdicts[:step]
+        assert walked == [v for v in orbits if v[0]]
+
+
+@pytest.mark.parametrize("family,param", [("gk", qbar) for qbar in (2, 3, 4, 5)]
+                         + [("fk", q) for q in FK_CATALOG + (89,)])
+def test_hands_the_census_only_classes_with_points(monkeypatch, family, param):
+    # the walks drop every class of base points without points before the
+    # census sees it
+    monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89
+    count, curve = catalog_census(family, param)
+    classes = walked_classes(monkeypatch, count, curve)
+    assert all(class_points(curve.field, cls, curve.family) for cls in classes)
 
 
 class TestGKCensus:

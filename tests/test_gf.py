@@ -351,6 +351,28 @@ class TestTableBuild:
         with pytest.raises(ValueError, match="not a primitive element"):
             gf.FieldSpec(p, k, F.modulus, code)
 
+    @pytest.mark.parametrize("p,k,ell", [
+        (11, 2, 3),   # 3 | M = 12 only: c^(M/3) lies in F_11
+        (11, 2, 5),   # 5 | p - 1 only: the norm c^12 is a fifth power
+        (11, 2, 2),   # 2 | p - 1 and M: the norm decides
+        (7, 2, 3),    # M = 8 is a power of 2 | p - 1: the norm decides alone
+        (7, 1, 3),    # k = 1: the norm is c itself
+        (2, 12, 7),   # p = 2: no norm, every prime | M
+    ])
+    def test_each_prime_rejects_its_power_of_g(self, p, k, ell):
+        # g^ell has order N/ell: the test at ell is the only one it fails
+        F = gf.make_field(p, k)
+        assert (F.order - 1) % ell == 0
+        with pytest.raises(ValueError, match="not a primitive element"):
+            gf.FieldSpec(p, k, F.modulus, F.code(ell))
+
+    def test_prime_field_generator_is_the_least_primitive_root(self):
+        for p in PRIMES:
+            primes = gf.factorize(p - 1)
+            root = next(c for c in range(1, p)
+                        if all(pow(c, (p - 1) // ell, p) != 1 for ell in primes))
+            assert gf.make_field(p, 1).generator == root, p
+
     @pytest.mark.parametrize("p,k,code", [(2, 12, 2), (7, 2, 1), (7, 2, 0), (7, 2, 49)])
     def test_rejected_generator_builds_no_table(self, monkeypatch, p, k, code):
         F = gf.make_field(p, k)
