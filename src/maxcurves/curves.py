@@ -73,13 +73,13 @@ class PlaceCensus:
 
 class CurveModel:
     """A catalog entry: family tag (GK | GSX49 | FK), parameters, base
-    field, q (the curve is maximal over F_{q^2}), p, equations and named
-    constants (field element codes)."""
+    field, q (the curve is maximal over F_{q^2}), p, equations, divisor
+    table (by Kummer's rule) and named constants (field element codes)."""
 
-    def __init__(self, family: str, params: dict, field: FieldSpec, q: int,
-                 p: int, equations: tuple[str, ...], constants: dict | None = None):
+    def __init__(self, family: str, params: dict, field: FieldSpec, q: int, p: int,
+                 equations: tuple[str, ...], table, constants: dict | None = None):
         self.family, self.params, self.field = family, params, field
-        self.q, self.p, self.equations = q, p, equations
+        self.q, self.p, self.equations, self.table = q, p, equations, table
         self.constants = constants or {}
 
     def to_fragment(self) -> dict:
@@ -166,6 +166,7 @@ def gk_curve(qbar: int) -> CurveModel:
         p=p,
         equations=(f"y^{qbar + 1} = x^{qbar} + x",
                    f"z^{d} = y*(x^{qbar ** 2 - 1} - 1)/(x^{qbar - 1} + 1)"),
+        table=gk_divisor_table(qbar),
     )
 
 
@@ -177,6 +178,7 @@ def gsx49_curve() -> CurveModel:
         q=7,
         p=7,
         equations=("z^16 = t*(t+1)^6",),
+        table=gsx49_divisor_table(),
     )
 
 
@@ -193,7 +195,7 @@ def fk_curve(q: int) -> CurveModel:
         q=q,
         p=p,
         equations=(f"x^{m3} + y^{m3} + 1 = 0", "z^3 = w*x*y"),
-        constants={"w": w},
+        table=fk_divisor_table(q), constants={"w": w},
     )
 
 
@@ -325,7 +327,7 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
 
     census, split, inert = _kummer_census(
         F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
-    census.add(INFINITE, 1, samples=[Place("gk:P0", curve.params["d"])])
+    _add_branch_places(census, curve.table, {"P0": "gk:P0"})
     census.meta.update(split_fibers=split, inert_fibers=inert)
     return census
 
@@ -333,19 +335,15 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
 def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     """Census of z^16 = t(t+1)^6 over F_49.
 
-    Affine fibers are counted over t0 outside {0, -1}, one class each;
-    the places over t = 0, t = -1 and t = infinity (1 + 2 + 1 of them)
-    are transcribed from the principal-divisor data, not recomputed from
-    the singular plane model.  The census only counts; the report judges.
+    Affine fibers are counted over t0 outside {0, -1}, one class each; the
+    places over 0, -1 and infinity come from Kummer's rule; the report judges.
     """
     F, one_plus = curve.field, curve.field._one_plus
     classes = (((t0,), 1, 0, 0, i + 6 * one_plus[i])  # c = log t0 (t0 + 1)^6
                for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
     census, split, _ = _kummer_census(F, 16, classes, "gsx49:t={},z={}", "")
-    # e = 16/gcd(16, v(f)) with v(f) = 1, 6, -7 over t = 0, -1, infinity
-    census.add(ZERO_OF_COVER, 1, samples=[Place("gsx49:P0", 16)])
-    census.add(ZERO_OF_COVER, 2, samples=[Place("gsx49:P1", 8)])
-    census.add(INFINITE, 1, samples=[Place("gsx49:Pinf", 16)])
+    _add_branch_places(census, curve.table, {
+        "P0": "gsx49:P0", "P1,P2": "gsx49:P1", "Pinf": "gsx49:Pinf"})
     census.meta["sixteenth_power_fibers"] = split
     return census
 
@@ -401,7 +399,7 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 
     census, _, inert = _kummer_census(F, 3, classes(), "fk:a={},b={},z={}",
                                       "fk:a={},b={}", points)
-    census.add(INFINITE, m3, samples=[Place("fk:Pinf,1", 3)])
+    _add_branch_places(census, curve.table, {"Pinf": "fk:Pinf,1"})
     census.meta["condition5_violations"] = inert
     census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)
                                             + census.counts[INFINITE])
@@ -409,61 +407,76 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 
 
 # ---------------------------------------------------------------------------
-# principal divisors as integer valuation rows per place class
+# principal divisors as integer valuation rows per place class; each family's
+# table is Kummer's rule on its cover's base places {class: (n, v(f), row)}
 
 class PrincipalDivisorTable:
     """Principal divisors of named function symbols, by place class:
     ``places[pid] = (n, row)`` stands for n places at each of which
-    ``symbols[i]`` has valuation ``row[i]``."""
+    ``symbols[i]`` has valuation ``row[i]`` (``kummer``: its kummer_places map)."""
 
-    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple]):
-        self.symbols, self.places = symbols, places
+    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple], kummer=None):
+        self.symbols, self.places, self.kummer = symbols, places, kummer
         for i, sym in enumerate(self.symbols):
             deg = sum(n * row[i] for n, row in self.places.values())
             if deg != 0:
                 raise ValueError(f"divisor of {sym} has degree {deg} != 0")
 
 
+def kummer_places(d: int, base: dict) -> dict:
+    """Kummer's rule (Stichtenoth, Algebraic Function Fields and Codes,
+    Prop. 3.7.3) for z^d = f: over each of n base places with v(f) = k lie
+    g = gcd(d, k) places, rational if f's unit part there is a g-th power,
+    with e = d/g, v(z) = k/g and v(h) = e v_base(h).  Maps {class: (n, k,
+    row)} to {class: (n g, e, v(z), row upstairs)}."""
+    out = {}
+    for pid, (n, k, row) in base.items():
+        g = gcd(d, k)
+        out[pid] = n * g, d // g, k // g, tuple([d // g * v for v in row])
+    return out
+
+
+def _kummer_table(d: int, symbols: tuple, base: dict) -> PrincipalDivisorTable:
+    """The table of z^d = f: a class per zero or pole of f or a scanned h."""
+    i, places = symbols.index("z"), kummer_places(d, base)
+    return PrincipalDivisorTable(symbols, {
+        pid: (n, row[:i] + (vz,) + row[i:]) for pid, (n, _, vz, row) in places.items()},
+        places)
+
+
+def _add_branch_places(census: PlaceCensus, table, samples: dict):
+    """Add the Kummer table's classes that the census walk does not reach,
+    {class: sample id}: infinite over a pole of f, else zeros of f."""
+    for pid, sample in samples.items():
+        n, e, vz, _ = table.kummer[pid]
+        census.add(INFINITE if vz < 0 else ZERO_OF_COVER, n, samples=[Place(sample, e)])
+
+
 def gsx49_divisor_table() -> PrincipalDivisorTable:
-    """(z) = 3(P1 + P2) + P0 - 7 Pinf and (t+1) = 8(P1 + P2) - 16 Pinf."""
-    return PrincipalDivisorTable(
-        symbols=("z", "t+1"),
-        places={"P1,P2": (2, (3, 8)), "P0": (1, (1, 0)), "Pinf": (1, (-7, -16))},
-    )
+    """z^16 = t (t+1)^6 over the t-line, with v(f) = 1, 6, -7 at t = 0,
+    -1, infinity: (z) = 3(P1 + P2) + P0 - 7 Pinf, (t+1) = 8(P1 + P2) - 16 Pinf."""
+    return _kummer_table(16, ("z", "t+1"), {
+        "P0": (1, 1, (0,)), "P1,P2": (1, 6, (1,)), "Pinf": (1, -7, (-1,))})
 
 
 def gk_divisor_table(qbar: int) -> PrincipalDivisorTable:
-    """Divisors of x, y and z on the GK curve, d = qb^2 - qb + 1: every
-    place above a zero or pole of u is fully ramified, so v(z) = v_H(u),
-    v(x) = d v_H(x) and v(y) = d v_H(y) at P0 (the pole of x), the origin,
-    the qb - 1 places (a, 0) with a^(qb-1) = -1 and the qb^3 - qb other
-    zeros of u (x0^(qb^2-1) = 1, y0 != 0).  The distinguished place is P0."""
-    d = qbar * qbar - qbar + 1
-    return PrincipalDivisorTable(
-        symbols=("x", "y", "z"),
-        places={"P0": (1, (-(qbar + 1) * d, -qbar * d, -qbar ** 3)),
-                "origin": (1, ((qbar + 1) * d, d, 1)),
-                "(a,0)": (qbar - 1, (0, d, 1)),
-                "zeros-of-u": (qbar ** 3 - qbar, (0, 0, 1))},
-    )
+    """z^d = u over the Hermitian curve, d = qb^2 - qb + 1: u has a pole of
+    order qb^3 at P0 (the pole of x; distinguished) and simple zeros at the
+    origin, the qb - 1 (a, 0) with a^(qb-1) = -1 and the qb^3 - qb others."""
+    return _kummer_table(qbar * qbar - qbar + 1, ("x", "y", "z"), {
+        "P0": (1, -qbar ** 3, (-qbar - 1, -qbar)), "origin": (1, 1, (qbar + 1, 1)),
+        "(a,0)": (qbar - 1, 1, (0, 1)), "zeros-of-u": (qbar ** 3 - qbar, 1, (0, 0))})
 
 
 def fk_divisor_table(q: int) -> PrincipalDivisorTable:
-    """Divisors of x and y - beta pulled back to the degree-3 cover.
-
-    On the base, x has (q+1)/3 simple zeros, P_{0,beta} and the P_{0,beta'}
-    (beta' != beta with beta'^((q+1)/3) = -1), and (q+1)/3 simple poles
-    Pinf; (y - beta)_0 = ((q+1)/3) P_{0,beta}.  All of these places are
-    fully ramified, so multiplicities triple upstairs and each base place
-    has a single place above it.  The distinguished place is "P0_beta".
-    """
+    """z^3 = w x y over x^m3 + y^m3 + 1 = 0, m3 = (q+1)/3: x has simple zeros
+    at P0_beta = (0, beta) (distinguished) and the m3 - 1 other (0, beta'), y
+    at the m3 (a, 0), both simple poles at the m3 Pinf; v(y - beta) = m3 at P0_beta."""
     _validate_fk_q(q)
     m3 = (q + 1) // 3
-    return PrincipalDivisorTable(
-        symbols=("x", "y-beta"),
-        places={"P0_beta": (1, (3, q + 1)), "P0_beta'": (m3 - 1, (3, 0)),
-                "Pinf": (m3, (-3, -3))},
-    )
+    return _kummer_table(3, ("x", "y-beta", "z"), {
+        "P0_beta": (1, 1, (1, m3)), "P0_beta'": (m3 - 1, 1, (1, 0)),
+        "zeros-of-y": (m3, 1, (0, 0)), "Pinf": (m3, -2, (-1, -1))})
 
 
 def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
@@ -493,7 +506,7 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
     rows = {pid: tuple(row[c] for c in cols)
             for pid, (_, row) in table.places.items()}
     at_target = rows.pop(target)
-    others = set(rows.values())
+    others = set(rows.values()) - {(0,) * len(cols)}  # a zero row bounds nothing
     witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
     for exps in product(*ranges.values()):
         pole = -sum(map(mul, at_target, exps))

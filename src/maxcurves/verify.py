@@ -198,22 +198,28 @@ def theorem_report(curve: curves.CurveModel,
     # generate, r is read off S, else from the genus bound alone (None
     # unless the bound leaves a single candidate)
     scan = curves.weierstrass_nongaps_from_monomials(
-        spec["table"], spec["target"], spec["box"], q)
+        curve.table, spec["target"], spec["box"], q)
     dims = sorted(deduce_frobenius_dimension(q, g))
     if spec["semigroup"]:
-        S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
+        try:  # non-gaps that generate no maximal curve's semigroup fail here
+            S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
+            orders = numsg.rational_point_orders(S, q)
+        except ValueError as exc:
+            report.checks.append(CheckResult("semigroup-from-nongaps", False, {
+                "nongaps": scan["nongaps"], "error": str(exc)}))
+            return report
         report.semigroups.append(S.to_fragment(q))
-        r = numsg.frobenius_dimension_from_semigroup(S, q)
+        r = len(orders) - 1
         dimension = {"from_semigroup": r, "from_bound": dims}
     else:
-        S, r = None, dims[0] if len(dims) == 1 else None
+        S, orders, r = None, None, dims[0] if len(dims) == 1 else None
         dimension = {"from_bound": dims}
         report.semigroups.append({
             "generators": [n for n in scan["nongaps"] if 0 < n <= q + 1],
             "note": "certified non-gaps at the distinguished place, <= q+1",
         })
     report.frobenius_dimension = dict(dimension, bound_conclusive=len(dims) == 1)
-    before, after, classes = spec["checks"](census, scan, S, r)
+    before, after, classes = spec["checks"](census, scan, S, orders, r)
     report.checks += before
     report.checks.append(CheckResult(
         "frobenius-dimension", r == 3 and r in dims, dimension))
@@ -254,18 +260,18 @@ def theorem_report(curve: curves.CurveModel,
 
 # Each spec function returns a family's data for theorem_report: its genus
 # forms (the first the formula, any other cross-checked against it), census
-# function, divisor table with the target place and box the monomial scan
-# reads, whether the scanned non-gaps generate the full semigroup, the
-# expected generic orders, and checks(census, scan, S, r), which returns
-# the family's own checks before and after the frobenius-dimension check
-# and its place classes to weigh (None: no known orders).
+# function, the target place and box the monomial scan reads in the curve's
+# divisor table, whether the scanned non-gaps generate the full semigroup, the
+# expected generic orders, and checks(census, scan, S, orders, r) (S and its
+# orders None unless the scan builds S), which returns the family's own
+# checks before and after the frobenius-dimension check and its place
+# classes to weigh (None: no known orders).
 
 def _gk_spec(curve: curves.CurveModel) -> dict:
     qbar, d, q = curve.params["qbar"], curve.params["d"], curve.q
     g = curves.genus_gk(qbar)
 
-    def checks(census, scan, S, r):
-        ram = numsg.rational_point_orders(S, q)
+    def checks(census, scan, S, ram, r):
         n = census.counts
         # unramified class: the transitivity argument pins a single shared
         # sequence; it is consumed as given, not recomputed
@@ -284,8 +290,7 @@ def _gk_spec(curve: curves.CurveModel) -> dict:
 
     # semigroup at the fully ramified place P0: a sub-semigroup of H(P0)
     # with g gaps is H(P0)
-    return {"genus": {"formula": g}, "census": curves.count_gk_places,
-            "table": curves.gk_divisor_table(qbar), "target": "P0",
+    return {"genus": {"formula": g}, "census": curves.count_gk_places, "target": "P0",
             "box": {"x": range(2), "y": range(2), "z": range(2)},
             "semigroup": True, "expected": (0, 1, qbar, q), "checks": checks}
 
@@ -294,11 +299,10 @@ def _gsx49_spec(curve: curves.CurveModel) -> dict:
     q = curve.q
     g = curves.genus_gsx(q, curve.params["m"])
 
-    def checks(census, scan, S, r):
+    def checks(census, scan, S, orders, r):
         k = census.meta["sixteenth_power_fibers"]
         certified, nongaps = (5, 7, 8, 10, 12, 13), set(scan["nongaps"])
         small = numsg.nongaps_upto(S, 8)
-        orders = numsg.rational_point_orders(S, q)
         floor_form = q + 1 - (2 * (q + 1)) // 3
         return ([CheckResult(
                     "sixteenth-power-fiber-count", 16 * k + 4 == census.total,
@@ -319,8 +323,7 @@ def _gsx49_spec(curve: curves.CurveModel) -> dict:
                 {"Pinf": (1, orders), "other": (census.total - 1, None)})
 
     return {"genus": {"formula": g}, "census": curves.count_gsx49_places,
-            "table": curves.gsx49_divisor_table(), "target": "Pinf",
-            "box": {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)},
+            "target": "Pinf", "box": {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)},
             "semigroup": True, "expected": (0, 1, 2, q), "checks": checks}
 
 
@@ -328,9 +331,10 @@ def _fk_spec(curve: curves.CurveModel) -> dict:
     q = curve.q
     g0 = curves.genus_plane_smooth((q + 1) // 3)
 
-    def checks(census, scan, S, r):
+    def checks(census, scan, S, orders, r):
         violations = census.meta["condition5_violations"]
         ramified = census.meta["fully_ramified_places"]
+        expected = sum(n for n, _ in curve.table.places.values())  # zeros, poles of f
         # pole order of x/(y-beta), whose only pole is the distinguished place
         pole = next((n for n, w in scan["witnesses"].items()
                      if w == {"x": 1, "y-beta": -1}), None)
@@ -340,8 +344,8 @@ def _fk_spec(curve: curves.CurveModel) -> dict:
         j2 = q + 1 - known[1] if len(known) > 1 else None
         return ([CheckResult("split-condition-everywhere", violations == 0,
                              {"violations": violations}),
-                 CheckResult("fully-ramified-count", ramified == q + 1,
-                             {"count": ramified, "expected": q + 1})],
+                 CheckResult("fully-ramified-count", ramified == expected,
+                             {"count": ramified, "expected": expected})],
                 [CheckResult("distinguished-pole-order", pole == q - 2,
                              {"pole_order": pole, "expected": q - 2}),
                  CheckResult("j2-at-distinguished-place",
@@ -357,8 +361,7 @@ def _fk_spec(curve: curves.CurveModel) -> dict:
     # the report reads
     return {"genus": {"formula": curves.genus_fk(q),
                       "riemann_hurwitz": 1 + 3 * (g0 - 1) + (q + 1)},
-            "census": curves.count_fk_places,
-            "table": curves.fk_divisor_table(q), "target": "P0_beta",
+            "census": curves.count_fk_places, "target": "P0_beta",
             "box": {"x": range(3), "y-beta": range(-2, 1)},
             "semigroup": False, "expected": (0, 1, 2, q), "checks": checks}
 

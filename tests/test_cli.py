@@ -258,6 +258,29 @@ class TestFaultsFailChecks:
         code, out, err = run_capture(["verify", "fk", "--q", "5"], capsys)
         assert code == 1 and "result: FAIL" in out and err == ""
 
+    @pytest.mark.parametrize("argv", [["gk", "--qbar", "2"], ["gsx49"],
+                                      ["fk", "--q", "5"]], ids=["gk2", "gsx49", "fk5"])
+    @pytest.mark.parametrize("keep", [lambda n, q: n > q + 1, lambda n, q: n % 2 == 0],
+                             ids=["drops-up-to-q-plus-1", "keeps-only-even"])
+    def test_scan_fault_is_a_failed_check(self, capsys, monkeypatch, argv, keep):
+        # no semigroup of a maximal curve: gk and gsx49 cannot build S or its
+        # orders, and fail the check that names the non-gaps and the reason
+        fault = _scan_fault(lambda scan, q: dict(
+            scan, nongaps=[n for n in scan["nongaps"] if keep(n, q)]))
+        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials",
+                            fault(curves.weierstrass_nongaps_from_monomials))
+        code, out, err = run_capture(["verify", *argv], capsys)
+        assert code == 1 and out.endswith("\nresult: FAIL\n") and err == ""
+        code, checks = verify_json(["verify", *argv], capsys)
+        failed = [name for name, c in checks.items() if not c["passed"]]
+        assert code == 1 and failed
+        if argv[0] != "fk":
+            assert failed == ["semigroup-from-nongaps"]
+            details = checks["semigroup-from-nongaps"]["details"]
+            assert details["nongaps"] and all(keep(n, 8 if argv[0] == "gk" else 7)
+                                              for n in details["nongaps"])
+            assert details["error"].startswith(("q=", "gcd of generators"))
+
     def test_fk_genus_formula_disagrees_with_riemann_hurwitz(self, capsys,
                                                               monkeypatch):
         real = curves.genus_fk

@@ -548,13 +548,65 @@ class TestDivisors:
         assert places["P0"][0] == 1
         assert sum(n for n, _ in places.values()) == qbar ** 3 + 1
 
-    @pytest.mark.parametrize("qbar", [2, 3, 4])
-    def test_gk_table_matches_the_census(self, qbar):
-        census = curves.count_gk_places(curves.gk_curve(qbar))
-        places = curves.gk_divisor_table(qbar).places
-        zeros = sum(n for pid, (n, _) in places.items() if pid != "P0")
-        assert census.counts[curves.ZERO_OF_COVER] == zeros
-        assert census.counts[curves.INFINITE] == places["P0"][0]
+    @pytest.mark.parametrize("family,param", [("gk", qbar) for qbar in (2, 3, 4, 5)]
+                             + [("gsx49", None)]
+                             + [("fk", q) for q in FK_CATALOG + (89, 125)])
+    def test_table_matches_the_census(self, monkeypatch, family, param):
+        # the table holds every place over a zero or a pole of f: the walk's
+        # ramified places and the branch places the census takes from it,
+        # zeros of f where v(z) > 0 and infinite places where v(z) < 0
+        monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89, 125
+        count, curve = catalog_census(family, param)
+        counts = count(curve).counts
+        table = (curves.gsx49_divisor_table() if family == "gsx49"
+                 else getattr(curves, f"{family}_divisor_table")(param))
+        vz = [(n, row[table.symbols.index("z")]) for n, row in table.places.values()]
+        zeros, poles = counts.get(curves.ZERO_OF_COVER, 0), counts[curves.INFINITE]
+        assert sum(n for n, _ in vz) == zeros + poles
+        assert (sum(n for n, v in vz if v > 0), sum(n for n, v in vz if v < 0)) == (
+            zeros, poles)
+
+    @pytest.mark.parametrize("qbar", range(2, 10))
+    def test_gk_table_keeps_its_literal_rows(self, qbar):
+        d = qbar * qbar - qbar + 1
+        assert curves.gk_divisor_table(qbar).places == {
+            "P0": (1, (-(qbar + 1) * d, -qbar * d, -qbar ** 3)),
+            "origin": (1, ((qbar + 1) * d, d, 1)),
+            "(a,0)": (qbar - 1, (0, d, 1)),
+            "zeros-of-u": (qbar ** 3 - qbar, (0, 0, 1))}
+
+    def test_gsx49_table_keeps_its_literal_rows(self):
+        table = curves.gsx49_divisor_table()
+        assert table.symbols == ("z", "t+1")
+        assert table.places == {"P1,P2": (2, (3, 8)), "P0": (1, (1, 0)),
+                                "Pinf": (1, (-7, -16))}
+
+    @pytest.mark.parametrize("q", FK_CATALOG)
+    def test_fk_table_keeps_its_literal_rows(self, q):
+        # the rows of x and y - beta as written out before, plus the z
+        # column and the class of the m3 zeros of y, which complete (f)
+        m3 = (q + 1) // 3
+        table = curves.fk_divisor_table(q)
+        assert table.symbols == ("x", "y-beta", "z")
+        assert {pid: (n, row[:2]) for pid, (n, row) in table.places.items()
+                if pid != "zeros-of-y"} == {
+            "P0_beta": (1, (3, q + 1)), "P0_beta'": (m3 - 1, (3, 0)),
+            "Pinf": (m3, (-3, -3))}
+        assert table.places["zeros-of-y"] == (m3, (0, 0, 1))
+        assert [row[2] for _, row in table.places.values()] == [1, 1, 1, -2]
+
+    def test_kummer_rule_with_gcd_above_one(self):
+        # GSX49's t = -1: v(f) = 6 and gcd(16, 6) = 2, so 2 places with e = 8,
+        # v(z) = 3 and v(t+1) = 8
+        assert curves.kummer_places(16, {"P1,P2": (1, 6, (1,))}) == {
+            "P1,P2": (2, 8, 3, (8,))}
+        assert curves.gsx49_divisor_table().kummer["P1,P2"][:2] == (2, 8)
+
+    def test_description_missing_a_pole_of_f_is_rejected(self):
+        # GSX49 without t = infinity: (z) and (t+1) lose their poles
+        with pytest.raises(ValueError, match="degree"):
+            curves._kummer_table(16, ("z", "t+1"),
+                                 {"P0": (1, 1, (0,)), "P1,P2": (1, 6, (1,))})
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
@@ -568,15 +620,16 @@ class TestDivisors:
                 curves.fk_divisor_table(q), "P0_beta", FK_BOX, q)
             assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1}
 
-    def test_large_fk_table_is_three_classes(self):
+    def test_large_fk_table_is_four_classes(self):
         q, m3 = 10007, 3336
         start = time.perf_counter()
         table = curves.fk_divisor_table(q)
         scan = curves.weierstrass_nongaps_from_monomials(table, "P0_beta", FK_BOX, q)
         assert time.perf_counter() - start < 1.0
-        assert table.places == {"P0_beta": (1, (3, q + 1)),
-                                "P0_beta'": (m3 - 1, (3, 0)),
-                                "Pinf": (m3, (-3, -3))}
+        assert table.places == {"P0_beta": (1, (3, q + 1, 1)),
+                                "P0_beta'": (m3 - 1, (3, 0, 1)),
+                                "zeros-of-y": (m3, (0, 0, 1)),
+                                "Pinf": (m3, (-3, -3, -2))}
         assert [n for n in scan["nongaps"] if n <= q + 1] == [0, q - 2, q, q + 1]
 
 
