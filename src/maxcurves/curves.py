@@ -10,10 +10,10 @@ Three families are supported:
   x^((q+1)/3) + y^((q+1)/3) + 1 = 0 over F_{q^2}, for odd q = 2 mod 3.
 
 Everything is exact integer / finite-field arithmetic; no floats.  The
-censuses count on integer codes and discrete logs and solve for z only
-at the sample places they keep.  GK and GSX49 walk every element and
-read ``FieldSpec``'s tables; FK reads ``code``, ``log`` and
-``one_plus_every``, which for prime q need no table of q^2 entries.
+censuses count on discrete logs, read the field only through its
+``code``, ``log`` and ``one_plus_every``, name each base coordinate of a
+class by its log (None for zero), and make codes and solve for z only at
+the sample places they keep.
 """
 
 from __future__ import annotations
@@ -215,8 +215,10 @@ def _fk_constant_w(F: FieldSpec, q: int) -> int:
 # place enumeration
 
 def _points(F: FieldSpec, coords: tuple, la: int, m: int):
-    """A class's points and their j: coords + (g^j,) for the roots g^j of
-    y^m = g^la by code, or coords alone (j = 0) when m = 0."""
+    """A class's points and their j: its coords as codes (g^i for the log
+    i, 0 for None) + (g^j,) for the roots g^j of y^m = g^la by code, or
+    the coords alone (j = 0) when m = 0."""
+    coords = tuple([0 if i is None else F.code(i) for i in coords])
     if not m:
         yield coords, 0
         return
@@ -225,12 +227,12 @@ def _points(F: FieldSpec, coords: tuple, la: int, m: int):
 
 
 def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
-                   ramified_id: str, points=_points) -> tuple[PlaceCensus, int, int]:
+                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
     """Count the places of z^d = f over the classes of affine base points
     that ``classes`` yields as (coords, n, la, m, c) in walk order.
 
-    A class stands for n base points; its points are those that
-    ``points(F, coords, la, m)`` lists (by default :func:`_points`),
+    A class stands for n base points, each base coordinate named by its
+    log (None for zero); its points are those that :func:`_points` lists,
     with log f = j + c, or a zero or pole of f where c is None (n fully
     ramified places, e = d).  m divides N = |F*|, so the class has points
     iff m divides la (the walks yield only such classes; any other is
@@ -252,7 +254,7 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
             if len(kept.get(ZERO_OF_COVER, ())) < SAMPLES_PER_CLASS:
                 census.add(ZERO_OF_COVER, 0, samples=(
                     Place(ramified_id.format(*pt), d)
-                    for pt, _ in points(F, coords, la, m)))
+                    for pt, _ in _points(F, coords, la, m)))
         elif ((la // m if m else 0) + c) % d:
             inert += n
         else:
@@ -260,7 +262,7 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
             if len(kept.get(AFFINE_SPLIT, ())) < SAMPLES_PER_CLASS:
                 census.add(AFFINE_SPLIT, 0, samples=(Place(split_id.format(
                     *pt, nth_roots(F, F.code((j + c) % (F.order - 1)), d)[0]), 1)
-                    for pt, j in points(F, coords, la, m)))
+                    for pt, j in _points(F, coords, la, m)))
     # the tags' first adds above fixed their key order
     for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
         if n:
@@ -308,7 +310,7 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     The census only counts; the report judges it against Hasse-Weil.
     """
     qbar, F = curve.params["qbar"], curve.field
-    exp, one_plus, h = F._exp, F._one_plus, F._log[F.p - 1]
+    one_plus, h = F.one_plus_every(1), F.log(F.p - 1)
     w, m = qbar - 1, qbar + 1  # x0s per orbit, points per x0
     # log num at i < N/w is one_plus[(i w m + h) % N], of period N/(w m)
     den, wm = one_plus[::w], w * m
@@ -316,14 +318,14 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
     hit = [i for i, s in enumerate(den) if s < 0 or not (i + s) % m]
 
     def classes():
-        yield (0, 0), 1, 0, 0, None
+        yield (None, None), 1, 0, 0, None
         for i in hit:
             s = den[i]
             if s < 0:
-                yield (exp[i], 0), w, 0, 0, None
+                yield (i, None), w, 0, 0, None
                 continue
             l_num = num[i]
-            yield (exp[i],), w * m, i + s, m, None if l_num < 0 else h + l_num - s
+            yield (i,), w * m, i + s, m, None if l_num < 0 else h + l_num - s
 
     census, split, inert = _kummer_census(
         F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
@@ -338,9 +340,9 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     Affine fibers are counted over t0 outside {0, -1}, one class each; the
     places over 0, -1 and infinity come from Kummer's rule; the report judges.
     """
-    F, one_plus = curve.field, curve.field._one_plus
-    classes = (((t0,), 1, 0, 0, i + 6 * one_plus[i])  # c = log t0 (t0 + 1)^6
-               for i, t0 in enumerate(F._exp) if one_plus[i] >= 0)  # t0 != -1
+    F = curve.field
+    classes = (((i,), 1, 0, 0, i + 6 * s)  # t0 = g^i, c = log t0 (t0 + 1)^6
+               for i, s in enumerate(F.one_plus_every(1)) if s >= 0)  # t0 != -1
     census, split, _ = _kummer_census(F, 16, classes, "gsx49:t={},z={}", "")
     _add_branch_places(census, curve.table, {
         "P0": "gsx49:P0", "P1,P2": "gsx49:P1", "Pinf": "gsx49:Pinf"})
@@ -376,8 +378,7 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     SAMPLES_PER_CLASS points of each verdict that occurs.  It does: a = 0
     gives m3 ramified points and each class m3 points of its verdict,
     m3 >= 3 for q >= 11, and at q = 5 the prefix holds 3 ramified and 10
-    split points.  A class names a by its log i, () for a = 0, and codes
-    are made only for the points of the classes that draw samples.
+    split points.
     """
     F, m3 = curve.field, (curve.q + 1) // 3
     h = F.log(F.p - 1)
@@ -385,20 +386,16 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
     ops = F.one_plus_every(m3)  # a = g^i, i < 3(q-1): s = log(1 + a^m3)
 
     def classes():
-        yield (), m3, h, m3, None  # a = 0
+        yield (None,), m3, h, m3, None  # a = 0
         for i in [i for i, s in enumerate(ops) if s < 0 or not (h + s) % m3]:
             s = ops[i]
             if s < 0:  # b = 0
-                yield (i,), m3, 0, 0, None
+                yield (i, None), m3, 0, 0, None
             else:
                 yield (i,), m3 * m3, h + s, m3, lw + i
 
-    def points(F, coords, la, m):
-        a = F.code(*coords) if coords else 0
-        return _points(F, (a,) if m else (a, 0), la, m)
-
     census, _, inert = _kummer_census(F, 3, classes(), "fk:a={},b={},z={}",
-                                      "fk:a={},b={}", points)
+                                      "fk:a={},b={}")
     _add_branch_places(census, curve.table, {"Pinf": "fk:Pinf,1"})
     census.meta["condition5_violations"] = inert
     census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)

@@ -5,21 +5,19 @@ polynomial in base p, low coefficient first, and the module computes on
 codes and their discrete logs only.  Every field here is small (the cap
 is ``FIELD_CAP`` elements).
 
-Building a field finds its modulus and generator and nothing else.  The
-searches multiply in F_p[x]/(f) on packed integers (:func:`_ring`): a
-product of residues is a fixed handful of integer operations, whatever
-k.  Full log/exp/one-plus tables of p^k entries are built on first
-access.  The exp table is a walk g^0, g^1, ... over codes.  Multiplying
-by g is F_p-linear, so the walk splits each code into a low and a high
-half and adds the images of the two halves under g, looked up in tables
-of about p^(k/2) entries built with one ring product per digit (see
-:func:`_split_multiplier`).  No table the build makes exceeds 2 p^k
-entries.
-
-On F_{p^2}, ``FieldSpec.code`` and ``FieldSpec.log`` answer before the
-tables exist, through the points of P^1(F_p) with tables of about p
-entries (:func:`_projective`); on other fields their first use builds
-the tables.
+Building a field finds its modulus and generator, and then the model
+behind the three functions every caller reads: ``code``, ``log`` and
+``one_plus_every`` (see :class:`FieldSpec`).  The searches multiply in
+F_p[x]/(f) on packed integers (:func:`_ring`): a product of residues is
+a fixed handful of integer operations, whatever k.  On F_{p^2} the model
+is the points of P^1(F_p), with tables of about p entries
+(:func:`_projective`); on other fields it is full log/exp/one-plus
+tables of p^k entries (:func:`_tables`).  The exp table is a walk g^0,
+g^1, ... over codes.  Multiplying by g is F_p-linear, so the walk splits
+each code into a low and a high half and adds the images of the two
+halves under g, looked up in tables of about p^(k/2) entries built with
+one ring product per digit (see :func:`_split_multiplier`).  No table
+the build makes exceeds 2 p^k entries.
 """
 
 from __future__ import annotations
@@ -208,18 +206,14 @@ class FieldSpec:
     g^i + g^j = g^(i + log(1 + g^((j - i) % N))).
 
     The constructor checks that g is primitive, or without one finds the
-    smallest primitive code, and does nothing else.  With N = (p-1) M,
-    c^(N/l) for a prime l | p-1 is a power of the norm c^M, which lies in
-    F_p and takes the builtin ``pow``; for the other primes l | M,
-    c^(N/l) = 1 iff c^(M/l) lies in F_p.  The tables
-    ``_exp``, ``_log`` and ``_one_plus`` of p^k entries (``_exp[i]`` is
-    code(i), ``_one_plus[i]`` the one-plus log of g^i) are built on first
-    access, and from then on the three functions read them; the censuses
-    that walk every element read the tables directly.  Before that, on
-    F_{p^2} the first use of one of the functions makes them from
-    :func:`_projective`; on other fields it builds the tables.
-    Deterministic, so safe to share.  Use :func:`make_field` to build
-    one.
+    smallest primitive code.  With N = (p-1) M, c^(N/l) for a prime
+    l | p-1 is a power of the norm c^M, which lies in F_p and takes the
+    builtin ``pow``; for the other primes l | M, c^(N/l) = 1 iff c^(M/l)
+    lies in F_p.  Then it sets the three functions once: on F_{p^2} from
+    :func:`_projective`, otherwise from the tables of :func:`_tables`,
+    which only the functions hold.  They are the field's whole interface,
+    so no caller knows how the logs are stored.  Deterministic, so safe
+    to share.  Use :func:`make_field` to build one.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...],
@@ -245,18 +239,12 @@ class FieldSpec:
         elif not (0 < generator < order and is_primitive(generator)):
             raise ValueError(f"{generator} is not a primitive element")
         self.generator = generator
-
-    def __getattr__(self, name: str):
-        # runs only while the attribute is missing: on its first read
-        if name in ("code", "log", "one_plus_every") and self.k == 2:
+        if k == 2:
             self.code, self.log, self.one_plus_every = _projective(self)
-        elif name in ("_exp", "_log", "_one_plus", "code", "log", "one_plus_every"):
-            self._exp, self._log, self._one_plus = exp, log, one_plus = _tables(self)
+        else:
+            exp, log, one_plus = _tables(self)
             self.code, self.log = exp.__getitem__, log.__getitem__
             self.one_plus_every = lambda step: one_plus[::step]
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
 
     def to_fragment(self) -> dict:
         """Serializable description, embedded into verification reports."""

@@ -3,10 +3,35 @@
 The package computes on integer codes and discrete logs and needs none
 of these: polynomial products on coefficient lists, an element class,
 whole-field enumeration, subfield membership, powers of the generator,
-roots as elements and the Hermitian points as element pairs.
+roots as elements and the Hermitian points as element pairs.  Elements
+compute on the field's exp and log tables from ``gf._tables``, so on
+F_{p^2} they check the P^1 model of ``code`` and ``log``.  A spy,
+``table_builds``, records which fields build their tables.
 """
 
+from functools import lru_cache
+
+from maxcurves import gf
 from maxcurves.gf import FieldSpec, nth_roots
+
+
+@lru_cache(maxsize=16)
+def tables(F: FieldSpec) -> tuple[list[int], list[int], list[int]]:
+    """F's exp, log and one-plus tables, built once for the last fields."""
+    return gf._tables(F)
+
+
+def table_builds(monkeypatch) -> list[int]:
+    """Spy on ``gf._tables``: the order of every field that builds its
+    tables from now on, in build order."""
+    built, real = [], gf._tables
+
+    def spy(F):
+        built.append(F.order)
+        return real(F)
+
+    monkeypatch.setattr(gf, "_tables", spy)
+    return built
 
 
 def digits(code: int, p: int, k: int) -> list[int]:
@@ -42,9 +67,9 @@ def poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
 class FieldElement:
     """An element of a :class:`FieldSpec`, identified by its code.
 
-    Products and powers are log/exp table lookups; sums are digitwise
-    mod p with no table, the reference the one-plus table is tested
-    against.  Integers embed through the prime subfield (n mod p).
+    Products and powers are lookups in the field's :func:`tables`; sums
+    are digitwise mod p with no table, the reference ``one_plus_every``
+    is tested against.  Integers embed through the prime subfield (n mod p).
     """
 
     __slots__ = ("field", "code")
@@ -82,7 +107,8 @@ class FieldElement:
         F, o = self.field, self._coerce(other)
         if self.code == 0 or o.code == 0:
             return FieldElement(F, 0)
-        return FieldElement(F, F._exp[(F._log[self.code] + F._log[o.code]) % (F.order - 1)])
+        exp, log, _ = tables(F)
+        return FieldElement(F, exp[(log[self.code] + log[o.code]) % (F.order - 1)])
 
     __rmul__ = __mul__
 
@@ -95,7 +121,8 @@ class FieldElement:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return FieldElement(F, int(e == 0))
-        return FieldElement(F, F._exp[F._log[self.code] * e % (F.order - 1)])
+        exp, log, _ = tables(F)
+        return FieldElement(F, exp[log[self.code] * e % (F.order - 1)])
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -114,7 +141,7 @@ class FieldElement:
 
 def enumerate_field(F: FieldSpec) -> list[FieldElement]:
     """All p^k elements exactly once: zero first, then g^0, g^1, ..."""
-    return [FieldElement(F, 0)] + [FieldElement(F, c) for c in F._exp]
+    return [FieldElement(F, 0)] + [FieldElement(F, c) for c in tables(F)[0]]
 
 
 def is_in_subfield(a: FieldElement, m: int) -> bool:
@@ -127,7 +154,7 @@ def is_in_subfield(a: FieldElement, m: int) -> bool:
 
 def field_exp(F: FieldSpec, i: int) -> FieldElement:
     """g^i for the generator g of F."""
-    return FieldElement(F, F._exp[i % (F.order - 1)])
+    return FieldElement(F, tables(F)[0][i % (F.order - 1)])
 
 
 def element_roots(a: FieldElement, n: int) -> list[FieldElement]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxcurves import curves, gf, numsg, verify
 from field_helpers import (FieldElement, element_roots, enumerate_field,
-                           hermitian_affine_points, is_in_subfield)
+                           hermitian_affine_points, is_in_subfield, table_builds)
 
 FK_CATALOG = (5, 11, 17, 23, 29, 41, 47, 53, 59, 71)
 
@@ -59,19 +59,17 @@ def walked_classes(monkeypatch, count, curve):
     return walked[0]
 
 
-def class_points(F, cls, family):
-    """The points of one class in walk order, as (coords, lf): the roots
-    g^j of y^m = g^la by code with lf = (j + c) mod N, or the single point
-    coords with lf = c when m = 0; lf is None where the class is ramified.
-    An FK class names a by its log, (i,) for a = g^i and () for a = 0:
-    its points are (a, b) over the roots b, or (a, 0) when m = 0."""
+def class_points(F, cls):
+    """The points of one class in walk order, as (coords, lf): the class
+    names each coordinate by its log i, or None for zero, so the points
+    are its codes g^i (0 for None) followed by the roots g^j of
+    y^m = g^la by code with lf = (j + c) mod N, or the codes alone with
+    lf = c when m = 0; lf is None where the class is ramified."""
     coords, _, la, m, c = cls
-    N, exp = F.order - 1, F._exp
-    if family == "FK":
-        a = exp[coords[0]] if coords else 0
-        coords = (a,) if m else (a, 0)
-    points = ([(coords + (exp[j],), j)
-               for j in sorted(gf.root_logs(la, m, N), key=exp.__getitem__)]
+    N = F.order - 1
+    coords = tuple(0 if i is None else F.code(i) for i in coords)
+    points = ([(coords + (F.code(j),), j)
+               for j in sorted(gf.root_logs(la, m, N), key=F.code)]
               if m else [(coords, 0)])
     return [(pt, None if c is None else (j + c) % N) for pt, j in points]
 
@@ -81,14 +79,14 @@ def walked_fibers(monkeypatch, count, curve):
     as a list of (coords, lf, cls) in walk order."""
     return [(coords, lf, cls)
             for cls in walked_classes(monkeypatch, count, curve)
-            for coords, lf in class_points(curve.field, cls, curve.family)]
+            for coords, lf in class_points(curve.field, cls)]
 
 
 def assert_weights_count_orbits(fibers, qbar):
     """Each GK class with points stands for its points over each of the
     qbar - 1 x0 of its F_qbar*-orbit; the origin stands for itself."""
     for (coords, n, *_), k in Counter(cls for _, _, cls in fibers).items():
-        assert n == k * (1 if coords == (0, 0) else qbar - 1)
+        assert n == k * (1 if coords == (None, None) else qbar - 1)
 
 
 def gk_x_verdicts(curve):
@@ -114,11 +112,11 @@ def assert_walks_the_orbits_with_points(classes, curve):
     have none.  Returns the orbits' verdicts."""
     F, qbar = curve.field, curve.params["qbar"]
     verdicts = gk_x_verdicts(curve)[:(F.order - 1) // (qbar - 1)]
-    assert classes[0] == ((0, 0), 1, 0, 0, None)
-    walked = [coords[0] for coords, *_ in classes[1:]]
-    assert walked == [F._exp[i] for i, (n, _) in enumerate(verdicts) if n]
-    dropped = set(F._exp[:len(verdicts)]) - set(walked)
-    assert dropped and all(verdicts[F._log[x0]] == (0, set()) for x0 in dropped)
+    assert classes[0] == ((None, None), 1, 0, 0, None)
+    walked = [coords[0] for coords, *_ in classes[1:]]  # the logs of x0
+    assert walked == [i for i, (n, _) in enumerate(verdicts) if n]
+    dropped = set(range(len(verdicts))) - set(walked)
+    assert dropped and all(verdicts[i] == (0, set()) for i in dropped)
     return verdicts
 
 
@@ -185,7 +183,7 @@ class TestHermitianPoints:
         for coords, n, la, m, c in classes[1:]:
             assert (n, m) == (((qbar - 1) * (qbar + 1), qbar + 1) if m
                               else (qbar - 1, 0))
-            assert m or (coords[1:] == (0,) and c is None)
+            assert m or (coords[1:] == (None,) and c is None)
 
     @pytest.mark.parametrize("qbar", [2, 3, 4])
     def test_orbit_mates_share_a_verdict(self, monkeypatch, qbar):
@@ -204,7 +202,7 @@ class TestHermitianPoints:
         orbits = assert_walks_the_orbits_with_points(classes, curve)
         walked = []
         for cls in classes[1:]:
-            points = class_points(F, cls, curve.family)
+            points = class_points(F, cls)
             walked.append((len(points), {
                 "ramified" if lf is None else "inert" if lf % d else "split"
                 for _, lf in points}))
@@ -219,7 +217,7 @@ def test_hands_the_census_only_classes_with_points(monkeypatch, family, param):
     monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89
     count, curve = catalog_census(family, param)
     classes = walked_classes(monkeypatch, count, curve)
-    assert all(class_points(curve.field, cls, curve.family) for cls in classes)
+    assert all(class_points(curve.field, cls) for cls in classes)
 
 
 class TestGKCensus:
@@ -285,7 +283,7 @@ class TestFKCensus:
         # so the cube test alone decides condition (5) at every log of ab
         curve = curves.fk_curve(q)
         F, m3 = curve.field, (q + 1) // 3
-        lw, l3 = F._log[curve.constants["w"]], F._log[3 % F.p]
+        lw, l3 = F.log(curve.constants["w"]), F.log(3 % F.p)
         for lab in range(F.order - 1):
             assert ((lw + lab) % 3 == 0) == ((l3 + m3 * lab) % (q + 1) == 0)
 
@@ -301,19 +299,20 @@ class TestFKCensus:
         assert w ** 2 == 3
 
     @pytest.mark.parametrize("q", [5, 11, 71])
-    def test_wrong_w_fails_the_split_check(self, q):
+    def test_wrong_w_fails_the_split_check(self, monkeypatch, q):
         # a w whose log is off by one mod 3 moves every fiber's cube test:
         # the class walk must still find each inert fiber
         violations = {5: 20, 11: 176, 71: 40896}[q]
+        built = table_builds(monkeypatch)
         curve = curves.fk_curve(q)
         F = curve.field
         N = F.order - 1
         curve.constants["w"] = F.code((F.log(curve.constants["w"]) + 1) % N)
         census = curves.count_fk_places(curve)
-        assert "_exp" not in vars(F)  # the P^1 census, not the tables
+        checks = {c.name: c for c in verify.theorem_report(curve).checks}
+        assert built == []  # the P^1 census, not the tables
         assert census.to_fragment() == reference_census(curve).to_fragment()
         assert census.meta["condition5_violations"] == violations
-        checks = {c.name: c for c in verify.theorem_report(curve).checks}
         assert not checks["split-condition-everywhere"].passed
 
     @pytest.mark.parametrize("q", FK_CATALOG)
@@ -401,6 +400,31 @@ CENSUS_CASES = ([("gk", qbar) for qbar in (2, 3, 4)] + [("gsx49", None)]
                 + [("fk", q) for q in (5, 11, 17, 23, 29, 41)])
 
 
+class InterfaceOnly:
+    """A field with nothing but FieldSpec's public interface."""
+
+    __slots__ = ("p", "k", "order", "modulus", "generator", "code", "log",
+                 "one_plus_every", "to_fragment")
+
+    def __init__(self, F):
+        for name in self.__slots__:
+            setattr(self, name, getattr(F, name))
+
+
+@pytest.mark.parametrize("family,param", [("gk", qbar) for qbar in (2, 3, 4, 5)]
+                         + [("gsx49", None)] + [("fk", q) for q in FK_CATALOG + (89,)])
+def test_censuses_read_the_field_only_through_its_interface(monkeypatch, family,
+                                                             param):
+    # on a field that has only code, log, one_plus_every and its parameters,
+    # each census counts what it counts on the field itself
+    monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89
+    count, curve = catalog_census(family, param)
+    proxy = curves.CurveModel(curve.family, curve.params, InterfaceOnly(curve.field),
+                              curve.q, curve.p, curve.equations, curve.table,
+                              curve.constants)
+    assert count(proxy).to_fragment() == count(curve).to_fragment()
+
+
 class TestRamificationIndex:
     def test_gsx49_places_over_zeros_and_poles_of_f(self):
         # z^16 = t(t+1)^6: v(f) is 1, 6 and -7 over t = 0, -1 and infinity,
@@ -431,11 +455,12 @@ class TestReferenceCensus:
         ("fk", q) for q in (47, 53, 59, 71, 89, 125)])
     def test_matches_reference_census(self, monkeypatch, family, param):
         monkeypatch.setattr(gf, "FIELD_CAP", 5 ** 6)  # admits gk 5, fk 89, 125
+        built = table_builds(monkeypatch)
         count, curve = catalog_census(family, param)
         census = count(curve).to_fragment()
-        # FK counts on P^1 for prime q, without the field's tables; q = 125
-        # (k = 6), GK and GSX49 read the tables
-        assert ("_exp" in vars(curve.field)) == (family != "fk" or curve.field.k != 2)
+        # F_{q^2} for prime q and GSX49's F_49 count on P^1; fk 125 (k = 6)
+        # and GK build their tables once, with the field
+        assert len(built) == (curve.field.k != 2)
         assert census == reference_census(curve).to_fragment()
 
     @pytest.mark.parametrize("q", FK_CATALOG + (89, 125))
@@ -452,7 +477,7 @@ class TestReferenceCensus:
         assert (F.p, F.k) == (p, k)
         fibers = walked_fibers(monkeypatch, curves.count_gk_places, curve)
         # the points over the origin and the first N/(qbar-1) x0: a prefix
-        walked_x = {0, *F._exp[:(F.order - 1) // (qbar - 1)]}
+        walked_x = {0, *map(F.code, range((F.order - 1) // (qbar - 1)))}
         points = [(x0.code, y0.code) for x0, y0 in hermitian_affine_points(qbar, F)]
         assert [coords for coords, _, _ in fibers] == points[:len(fibers)] == [
             pt for pt in points if pt[0] in walked_x]
@@ -477,10 +502,10 @@ class TestReferenceCensus:
         split = [lf for _, lf, _ in fibers if lf is not None and lf % d == 0]
         kept = split[:curves.SAMPLES_PER_CLASS]
         samples = census.samples[curves.AFFINE_SPLIT]
-        assert kept and calls == [(F._exp[lf], d) for lf in kept]
+        assert kept and calls == [(F.code(lf), d) for lf in kept]
         assert len(samples) == len(kept)
         for lf, place in zip(kept, samples):
-            z = min(F._exp[j] for j in gf.root_logs(lf, d, N))
+            z = min(map(F.code, gf.root_logs(lf, d, N)))
             assert place.id.endswith(f",z={z}")
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxcurves import gf
 from field_helpers import (FieldElement, digits, enumerate_field, field_exp, from_digits,
-                           is_in_subfield, poly_mulmod)
+                           is_in_subfield, poly_mulmod, table_builds)
 
 
 PRIMES = [p for p in range(2, gf.FIELD_CAP + 1) if gf.factorize(p) == {p: 1}]
@@ -44,7 +44,7 @@ def brute_nth_roots(F, a, n):
     if a == 0:
         return [0]
     N = F.order - 1
-    return [x for x in range(1, F.order) if (n * F._log[x] - F._log[a]) % N == 0]
+    return [x for x in range(1, F.order) if (n * F.log(x) - F.log(a)) % N == 0]
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,8 @@ class TestMakeField:
         a = gf.make_field(7, 2)
         b = gf.make_field(7, 2)
         assert a.to_fragment() == b.to_fragment()
-        assert a._exp == b._exp and a._log == b._log
+        assert list(map(a.code, range(48))) == list(map(b.code, range(48)))
+        assert list(map(a.log, range(49))) == list(map(b.log, range(49)))
 
     @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
     def test_modulus_irreducible_brute(self, p, k):
@@ -129,10 +130,10 @@ class TestMakeField:
 
     def test_log_exp_bijection(self, f49):
         for i in range(48):
-            assert f49._log[field_exp(f49, i).code] == i
+            assert f49.log(field_exp(f49, i).code) == i
         for a in enumerate_field(f49):
             if not a.is_zero():
-                assert field_exp(f49, f49._log[a.code]) == a
+                assert field_exp(f49, f49.log(a.code)) == a
 
 
 class TestArithmetic:
@@ -240,11 +241,12 @@ class TestLogTables:
     def test_one_plus_against_add_codes(self, p, k):
         F = gf.make_field(p, k)
         N = F.order - 1
-        assert len(F._one_plus) == N
-        for i, c in enumerate(F._exp):
-            assert F._one_plus[i] == F._log[(FieldElement(F, c) + 1).code]
+        one_plus = F.one_plus_every(1)
+        assert len(one_plus) == N
+        for i, s in enumerate(one_plus):
+            assert s == F.log((FieldElement(F, F.code(i)) + 1).code)
         # -1 is g^(N/2) for odd p and 1 = g^0 for p = 2
-        assert F._log[p - 1] == (N // 2 if p > 2 else 0)
+        assert F.log(p - 1) == (N // 2 if p > 2 else 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 48, 50])
     def test_root_logs_against_brute_oracle_f49(self, f49, n):
@@ -252,8 +254,8 @@ class TestLogTables:
         for la in range(N):
             logs = gf.root_logs(la, n, N)
             assert list(logs) == sorted(logs)
-            assert (sorted(f49._exp[j] for j in logs)
-                    == brute_nth_roots(f49, f49._exp[la], n))
+            assert (sorted(map(f49.code, logs))
+                    == brute_nth_roots(f49, f49.code(la), n))
 
 
 def fields_of_degree(k):
@@ -261,38 +263,45 @@ def fields_of_degree(k):
 
 
 class TestLazyTables:
-    """code, log and one_plus_every answer on F_{p^2} before the tables
-    exist, through P^1(F_p); on other fields their first use builds the
-    tables."""
+    """A field sets code, log and one_plus_every when it is built: on
+    F_{p^2} they answer through P^1(F_p) with no table of p^2 entries, on
+    other fields they read the tables of ``gf._tables``.  Either way they
+    agree with those tables."""
 
     @pytest.mark.parametrize("k", range(1, gf.FIELD_CAP.bit_length()))
-    def test_code_and_log_without_tables(self, k):
-        # every field with p^k <= FIELD_CAP, against the tables built after:
-        # 1, -1, g and g^(N-1), and seeded random elements
+    def test_code_and_log_without_tables(self, monkeypatch, k):
+        # every field with p^k <= FIELD_CAP builds its tables iff k != 2;
+        # at 1, -1, g and g^(N-1), and seeded random elements, code and log
+        # are inverse, and on F_{p^2} they match the tables
         rng = random.Random(k)
+        built = table_builds(monkeypatch)
         for p, k in fields_of_degree(k):
             F = gf.make_field(p, k)
+            assert built == ([F.order] if k != 2 else []), (p, k)
             N = F.order - 1
             logs = [0, N // 2, 1 % N, N - 1] + [rng.randrange(N) for _ in range(4)]
-            codes = [1, p - 1, F.generator, 0] + [rng.randrange(F.order)
-                                                  for _ in range(4)]
-            before = [F.code(j) for j in logs], [F.log(c) for c in codes]
-            assert ("_exp" in vars(F)) == (k != 2)
-            tables = [F._exp[j] for j in logs], [F._log[c] for c in codes]
-            after = [F.code(j) for j in logs], [F.log(c) for c in codes]
-            assert before == tables == after, (p, k)
+            codes = [1, p - 1, F.generator] + [rng.randrange(1, F.order)
+                                               for _ in range(4)]
+            got = [F.code(j) for j in logs], [F.log(c) for c in codes]
+            assert ([F.log(c) for c in got[0]], [F.code(j) for j in got[1]]) == (
+                logs, codes), (p, k)
+            assert F.log(0) == -1
+            if k == 2:
+                exp, log, _ = gf._tables(F)
+                assert got == ([exp[j] for j in logs], [log[c] for c in codes]), p
+            built.clear()
 
     @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (11, 2), (71, 2), (73, 2),
                                      (7, 1), (2, 6), (3, 3), (5, 4)])
-    def test_one_plus_every_is_a_slice_of_the_table(self, p, k):
+    def test_one_plus_every_is_a_slice_of_the_table(self, monkeypatch, p, k):
+        built = table_builds(monkeypatch)
         F = gf.make_field(p, k)
+        assert built == ([F.order] if k != 2 else [])
         N = F.order - 1
         steps = sorted({s for s in (1, 2, 3, 5, (p + 1) // 3, p - 1, p, p + 1, N - 1, N)
                         if s > 0})
-        got = [F.one_plus_every(s) for s in steps]
-        assert ("_exp" in vars(F)) == (k != 2)
-        assert got == [F._one_plus[::s] for s in steps]
-        assert got == [F.one_plus_every(s) for s in steps]  # on the tables now
+        one_plus = gf._tables(F)[2]
+        assert [F.one_plus_every(s) for s in steps] == [one_plus[::s] for s in steps]
 
 
 def reference_tables(F):
@@ -316,9 +325,8 @@ def reference_tables(F):
     return exp, log, one_plus
 
 
-def table_bytes(F):
-    return sum(sys.getsizeof(t) + sum(sys.getsizeof(v) for v in t)
-               for t in (F._exp, F._log, F._one_plus))
+def table_bytes(tables):
+    return sum(sys.getsizeof(t) + sum(sys.getsizeof(v) for v in t) for t in tables)
 
 
 class TestTableBuild:
@@ -329,7 +337,7 @@ class TestTableBuild:
     ])
     def test_tables_match_per_element_products(self, p, k):
         F = gf.make_field(p, k)
-        assert (F._exp, F._log, F._one_plus) == reference_tables(F)
+        assert gf._tables(F) == reference_tables(F)
 
     @pytest.mark.parametrize("p,k", [(5479, 1), (17, 3)])
     def test_build_memory_is_bounded_by_its_tables(self, p, k):
@@ -337,12 +345,11 @@ class TestTableBuild:
         # k = 1), would break this bound
         tracemalloc.start()
         try:
-            F = gf.make_field(p, k)
-            F._exp  # the tables are built on first access
+            F = gf.make_field(p, k)  # builds the tables
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * table_bytes(F)
+        assert peak <= 2 * table_bytes(gf._tables(F))
 
     @pytest.mark.parametrize("p,k,code", [(2, 12, 2), (7, 2, 1)])
     def test_non_primitive_generator_is_rejected(self, p, k, code):
@@ -387,8 +394,8 @@ class TestTableBuild:
         # c is primitive iff its log is prime to N
         F = gf.make_field(p, k)
         N = F.order - 1
-        assert F._log[F.generator] == 1
-        assert all(gcd(F._log[c], N) > 1 for c in range(1, F.generator))
+        assert F.log(F.generator) == 1
+        assert all(gcd(F.log(c), N) > 1 for c in range(1, F.generator))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -5,14 +5,15 @@ formats.
 
 Regenerate a digest only for an output change that is intended, and say
 so in the change note: ``PYTHONPATH=src python tests/test_golden.py``
-prints the table.
+prints the table, names on stderr every entry whose digest differs from
+``GOLDEN`` and then exits 1, else 0.  It needs no pytest: the module
+parametrizes its test through the ``pytest_generate_tests`` hook.
 """
 
 import contextlib
 import hashlib
 import io
-
-import pytest
+import sys
 
 from maxcurves import cli
 
@@ -93,7 +94,10 @@ def digest(argv: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv", ARGVS)
+def pytest_generate_tests(metafunc):
+    metafunc.parametrize("argv", ARGVS)
+
+
 def test_output_is_byte_identical(argv):
     assert digest(argv) == GOLDEN.get(argv), (
         f"`maxcurves {argv}` changed its stdout or exit code; regenerate "
@@ -101,6 +105,12 @@ def test_output_is_byte_identical(argv):
 
 
 if __name__ == "__main__":
+    changed = []
     for argv in ARGVS:
         code, sha = digest(argv)
         print(f'    "{argv}":\n        ({code}, "{sha}"),')
+        if GOLDEN.get(argv) != (code, sha):
+            changed.append(argv)
+    for argv in changed:
+        print(f"digest differs from GOLDEN: {argv}", file=sys.stderr)
+    sys.exit(1 if changed else 0)
