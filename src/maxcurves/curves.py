@@ -478,19 +478,16 @@ def fk_divisor_table(q: int) -> PrincipalDivisorTable:
 
 def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
                                        target: str,
-                                       ranges: dict[str, range],
-                                       q: int) -> dict[str, object]:
+                                       ranges: dict[str, range]) -> dict[str, object]:
     """Scan monomials over the table for certified non-gaps at ``target``.
 
     A monomial with non-negative valuation at every other place has its
     only pole at the target, so the pole order is a non-gap with that
     monomial as explicit witness; the first monomial in ``product``
-    order over ``ranges`` is kept per pole.  q and q+1 are always
-    non-gaps at a rational place of a maximal curve and are included
-    with a marker witness.  ``target`` must be a class of one place.
+    order over ``ranges`` is kept per pole.  ``target`` must be a class
+    of one place.
 
-    Returns {"nongaps": sorted list, "witnesses": {n: exponent map or
-    "maximality"}}.
+    Returns {"nongaps": sorted list, "witnesses": {n: exponent map}}.
     """
     if table.places.get(target, (0,))[0] != 1:
         raise ValueError(f"target {target!r} is not one place of the table")
@@ -504,12 +501,10 @@ def weierstrass_nongaps_from_monomials(table: PrincipalDivisorTable,
             for pid, (_, row) in table.places.items()}
     at_target = rows.pop(target)
     others = set(rows.values()) - {(0,) * len(cols)}  # a zero row bounds nothing
-    witnesses: dict[int, object] = {0: {s: 0 for s in symbols}}
+    witnesses = {0: {s: 0 for s in symbols}}
     for exps in product(*ranges.values()):
         pole = -sum(map(mul, at_target, exps))
         if (pole > 0 and pole not in witnesses
                 and all(sum(map(mul, row, exps)) >= 0 for row in others)):
             witnesses[pole] = dict(zip(symbols, exps))
-    for n in (q, q + 1):
-        witnesses.setdefault(n, "maximality")
     return {"nongaps": sorted(witnesses), "witnesses": witnesses}

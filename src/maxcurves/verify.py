@@ -194,38 +194,27 @@ def theorem_report(curve: curves.CurveModel,
             "genus-cross-check", len(set(genus.values())) == 1, dict(genus)))
     report.checks.append(check_maximal(census, g, q))
 
-    # non-gaps at the distinguished place; with the full semigroup S they
-    # generate, r is read off S, else from the genus bound alone (None
-    # unless the bound leaves a single candidate)
+    # non-gaps at the distinguished place generate its semigroup S, and r
+    # and the orders there are read off S
     scan = curves.weierstrass_nongaps_from_monomials(
-        curve.table, spec["target"], spec["box"], q)
+        curve.table, spec["target"], spec["box"])
     dims = sorted(deduce_frobenius_dimension(q, g))
-    if spec["semigroup"]:
-        try:  # non-gaps that generate no maximal curve's semigroup fail here
-            S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
-            orders = numsg.rational_point_orders(S, q)
-        except ValueError as exc:
-            report.checks.append(CheckResult("semigroup-from-nongaps", False, {
-                "nongaps": scan["nongaps"], "error": str(exc)}))
-            return report
-        report.semigroups.append(S.to_fragment(q))
-        r = len(orders) - 1
-        dimension = {"from_semigroup": r, "from_bound": dims}
-    else:
-        S, orders, r = None, None, dims[0] if len(dims) == 1 else None
-        dimension = {"from_bound": dims}
-        report.semigroups.append({
-            "generators": [n for n in scan["nongaps"] if 0 < n <= q + 1],
-            "note": "certified non-gaps at the distinguished place, <= q+1",
-        })
+    try:  # non-gaps that generate no maximal curve's semigroup fail here
+        S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n > 0)
+        orders = numsg.rational_point_orders(S, q)
+    except ValueError as exc:
+        report.checks.append(CheckResult("semigroup-from-nongaps", False, {
+            "nongaps": scan["nongaps"], "error": str(exc)}))
+        return report
+    report.semigroups.append(S.to_fragment(q))
+    r = len(orders) - 1
+    dimension = {"from_semigroup": r, "from_bound": dims}
     report.frobenius_dimension = dict(dimension, bound_conclusive=len(dims) == 1)
-    before, after, classes = spec["checks"](census, scan, S, orders, r)
+    before, after, classes = spec["checks"](census, scan, S, orders)
     report.checks += before
     report.checks.append(CheckResult(
         "frobenius-dimension", r == 3 and r in dims, dimension))
     report.checks += after
-    if classes is None:  # no known orders to eliminate the generic ones with
-        return report
 
     # orders are known per class ({class: (count, orders or None)});
     # eliminate the generic orders, weigh, validate j_2
@@ -261,17 +250,16 @@ def theorem_report(curve: curves.CurveModel,
 # Each spec function returns a family's data for theorem_report: its genus
 # forms (the first the formula, any other cross-checked against it), census
 # function, the target place and box the monomial scan reads in the curve's
-# divisor table, whether the scanned non-gaps generate the full semigroup, the
-# expected generic orders, and checks(census, scan, S, orders, r) (S and its
-# orders None unless the scan builds S), which returns the family's own
-# checks before and after the frobenius-dimension check and its place
-# classes to weigh (None: no known orders).
+# divisor table, the expected generic orders, and checks(census, scan, S,
+# orders) (S the semigroup the scanned non-gaps generate, orders those at the
+# target), which returns the family's own checks before and after the
+# frobenius-dimension check and its place classes to weigh.
 
 def _gk_spec(curve: curves.CurveModel) -> dict:
     qbar, d, q = curve.params["qbar"], curve.params["d"], curve.q
     g = curves.genus_gk(qbar)
 
-    def checks(census, scan, S, ram, r):
+    def checks(census, scan, S, ram):
         n = census.counts
         # unramified class: the transitivity argument pins a single shared
         # sequence; it is consumed as given, not recomputed
@@ -292,14 +280,14 @@ def _gk_spec(curve: curves.CurveModel) -> dict:
     # with g gaps is H(P0)
     return {"genus": {"formula": g}, "census": curves.count_gk_places, "target": "P0",
             "box": {"x": range(2), "y": range(2), "z": range(2)},
-            "semigroup": True, "expected": (0, 1, qbar, q), "checks": checks}
+            "expected": (0, 1, qbar, q), "checks": checks}
 
 
 def _gsx49_spec(curve: curves.CurveModel) -> dict:
     q = curve.q
     g = curves.genus_gsx(q, curve.params["m"])
 
-    def checks(census, scan, S, orders, r):
+    def checks(census, scan, S, orders):
         k = census.meta["sixteenth_power_fibers"]
         certified, nongaps = (5, 7, 8, 10, 12, 13), set(scan["nongaps"])
         small = numsg.nongaps_upto(S, 8)
@@ -324,46 +312,40 @@ def _gsx49_spec(curve: curves.CurveModel) -> dict:
 
     return {"genus": {"formula": g}, "census": curves.count_gsx49_places,
             "target": "Pinf", "box": {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)},
-            "semigroup": True, "expected": (0, 1, 2, q), "checks": checks}
+            "expected": (0, 1, 2, q), "checks": checks}
 
 
 def _fk_spec(curve: curves.CurveModel) -> dict:
     q = curve.q
-    g0 = curves.genus_plane_smooth((q + 1) // 3)
+    g, g0 = curves.genus_fk(q), curves.genus_plane_smooth((q + 1) // 3)
 
-    def checks(census, scan, S, orders, r):
+    def checks(census, scan, S, orders):
         violations = census.meta["condition5_violations"]
         ramified = census.meta["fully_ramified_places"]
         expected = sum(n for n, _ in curve.table.places.values())  # zeros, poles of f
         # pole order of x/(y-beta), whose only pole is the distinguished place
         pole = next((n for n, w in scan["witnesses"].items()
-                     if w == {"x": 1, "y-beta": -1}), None)
-        # with r = 3 the non-gaps up to q+1 are exactly 0 < m_1 < q < q+1,
-        # and j_2 = q+1-m_1; a scan that certifies no m_1 leaves j_2 unknown
-        known = [n for n in scan["nongaps"] if n <= q + 1]
-        j2 = q + 1 - known[1] if len(known) > 1 else None
+                     if w == {"x": 1, "y-beta": -1, "z": 0}), None)
         return ([CheckResult("split-condition-everywhere", violations == 0,
                              {"violations": violations}),
                  CheckResult("fully-ramified-count", ramified == expected,
-                             {"count": ramified, "expected": expected})],
+                             {"count": ramified, "expected": expected}),
+                 CheckResult("semigroup-gap-count", S.genus == g,
+                             {"gaps": S.genus, "curve_genus": g})],
                 [CheckResult("distinguished-pole-order", pole == q - 2,
                              {"pole_order": pole, "expected": q - 2}),
-                 CheckResult("j2-at-distinguished-place",
-                             r == 3 and len(known) == 4 and j2 == 3,
-                             {"known_nongaps": known, "j2": j2})],
-                None if j2 is None else
-                {"distinguished": (ramified, (0, 1, j2, q + 1)),
+                 CheckResult("j2-at-distinguished-place", orders[2] == 3,
+                             {"orders": list(orders), "j2": orders[2]})],
+                {"distinguished": (ramified, orders),
                  "split": (census.total - ramified, None)})
 
-    # x^a (y-beta)^b is effective away from P0_beta iff 0 <= a <= -b, and
-    # then its pole -3a-(q+1)b >= (q-2)(-b); a pole <= q+1 thus forces
-    # -b <= (q+1)/(q-2) <= 2 (q >= 5), so this box holds every non-gap
-    # the report reads
-    return {"genus": {"formula": curves.genus_fk(q),
-                      "riemann_hurwitz": 1 + 3 * (g0 - 1) + (q + 1)},
+    # semigroup at P0_beta, where x, y-beta and z have valuations 3, q+1
+    # and 1: x/(y-beta), z/(y-beta) and 1/(y-beta) witness q-2, q and q+1,
+    # and <q-2, q, q+1> has g gaps, so it is H(P0_beta)
+    return {"genus": {"formula": g, "riemann_hurwitz": 1 + 3 * (g0 - 1) + (q + 1)},
             "census": curves.count_fk_places, "target": "P0_beta",
-            "box": {"x": range(3), "y-beta": range(-2, 1)},
-            "semigroup": False, "expected": (0, 1, 2, q), "checks": checks}
+            "box": {"x": range(2), "y-beta": range(-1, 1), "z": range(2)},
+            "expected": (0, 1, 2, q), "checks": checks}
 
 
 def text_report(report: VerificationReport) -> str:

@@ -75,7 +75,7 @@ def test_criterion_3_gsx49_theorem():
     g = curves.genus_gsx(7, 3)
     table = curves.gsx49_divisor_table()
     scan = curves.weierstrass_nongaps_from_monomials(
-        table, "Pinf", {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)}, 7)
+        table, "Pinf", {"z": range(0, 2 * g + 1), "t+1": range(-g, 1)})
     for n in (5, 10, 12, 13):
         wit = scan["witnesses"][n]
         i, j = wit["z"], -wit["t+1"]
@@ -115,12 +115,17 @@ def test_criterion_4_fk_family_theorem():
 
         scan = curves.weierstrass_nongaps_from_monomials(
             curves.fk_divisor_table(q), "P0_beta",
-            {"x": range(3), "y-beta": range(-2, 1)}, q)
-        assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1}
+            {"x": range(2), "y-beta": range(-1, 1), "z": range(2)})
+        assert scan["nongaps"] == [0, q - 2, q, q + 1]
+        assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1, "z": 0}
+        S = numsg.semigroup_from_generators(scan["nongaps"][1:])
+        assert S.genus == g
+        assert numsg.rational_point_orders(S, q) == (0, 1, 3, q + 1)
 
         rep = verify.theorem_report(curves.fk_curve(q))
         assert rep.passing
-        assert rep.order_sequences["distinguished"][2] == 3
+        assert rep.frobenius_dimension["from_semigroup"] == 3
+        assert rep.order_sequences["distinguished"] == [0, 1, 3, q + 1]
         assert rep.epsilon_sequence == [0, 1, 2, q]
 
     elapsed = time.perf_counter() - start

@@ -230,43 +230,41 @@ class TestFaultsFailChecks:
         assert checks["maximality"]["details"]["delta"] == -6
 
     def test_fk_scan_misses_the_first_nongap(self, capsys, monkeypatch):
-        real = curves.weierstrass_nongaps_from_monomials
-
-        def lossy(table, target, ranges, q):
-            scan = real(table, target, ranges, q)
-            return dict(scan, nongaps=[n for n in scan["nongaps"] if n != q - 2])
-
-        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials", lossy)
+        # <5, 6> is a semigroup, but with 10 gaps and r = 2: at q = 5 the
+        # orders at P0_beta become (0, 1, 6)
+        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials",
+                            _scan_drops(3)(curves.weierstrass_nongaps_from_monomials))
         code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
         assert code == 1
-        j2 = checks["j2-at-distinguished-place"]
-        assert not j2["passed"] and j2["details"]["known_nongaps"] == [0, 5, 6]
+        assert {name for name, c in checks.items() if not c["passed"]} == {
+            "semigroup-gap-count", "frobenius-dimension",
+            "j2-at-distinguished-place", "epsilon-sequence"}
+        assert checks["semigroup-gap-count"]["details"] == {"gaps": 10,
+                                                            "curve_genus": 4}
+        assert checks["j2-at-distinguished-place"]["details"] == {
+            "orders": [0, 1, 6], "j2": 6}
 
     def test_fk_scan_certifies_no_nongap_up_to_q_plus_1(self, capsys, monkeypatch):
-        real = curves.weierstrass_nongaps_from_monomials
-
-        def lossy(table, target, ranges, q):
-            scan = real(table, target, ranges, q)
-            return dict(scan, nongaps=[n for n in scan["nongaps"]
-                                       if n == 0 or n > q + 1])
-
-        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials", lossy)
+        fault = _scan_fault(lambda scan: dict(
+            scan, nongaps=[n for n in scan["nongaps"] if n == 0 or n > 6]))
+        monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials",
+                            fault(curves.weierstrass_nongaps_from_monomials))
         code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
         assert code == 1
-        j2 = checks["j2-at-distinguished-place"]
-        assert not j2["passed"]
-        assert j2["details"] == {"known_nongaps": [0], "j2": None}
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "semigroup-from-nongaps"]
         code, out, err = run_capture(["verify", "fk", "--q", "5"], capsys)
         assert code == 1 and "result: FAIL" in out and err == ""
 
-    @pytest.mark.parametrize("argv", [["gk", "--qbar", "2"], ["gsx49"],
-                                      ["fk", "--q", "5"]], ids=["gk2", "gsx49", "fk5"])
+    @pytest.mark.parametrize("argv,q", [(["gk", "--qbar", "2"], 8), (["gsx49"], 7),
+                                        (["fk", "--q", "5"], 5)],
+                             ids=["gk2", "gsx49", "fk5"])
     @pytest.mark.parametrize("keep", [lambda n, q: n > q + 1, lambda n, q: n % 2 == 0],
                              ids=["drops-up-to-q-plus-1", "keeps-only-even"])
-    def test_scan_fault_is_a_failed_check(self, capsys, monkeypatch, argv, keep):
-        # no semigroup of a maximal curve: gk and gsx49 cannot build S or its
-        # orders, and fail the check that names the non-gaps and the reason
-        fault = _scan_fault(lambda scan, q: dict(
+    def test_scan_fault_is_a_failed_check(self, capsys, monkeypatch, argv, q, keep):
+        # no semigroup of a maximal curve: no family can build S or its
+        # orders, and each fails the check that names the non-gaps and the reason
+        fault = _scan_fault(lambda scan: dict(
             scan, nongaps=[n for n in scan["nongaps"] if keep(n, q)]))
         monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials",
                             fault(curves.weierstrass_nongaps_from_monomials))
@@ -274,13 +272,13 @@ class TestFaultsFailChecks:
         assert code == 1 and out.endswith("\nresult: FAIL\n") and err == ""
         code, checks = verify_json(["verify", *argv], capsys)
         failed = [name for name, c in checks.items() if not c["passed"]]
-        assert code == 1 and failed
-        if argv[0] != "fk":
-            assert failed == ["semigroup-from-nongaps"]
-            details = checks["semigroup-from-nongaps"]["details"]
-            assert details["nongaps"] and all(keep(n, 8 if argv[0] == "gk" else 7)
-                                              for n in details["nongaps"])
-            assert details["error"].startswith(("q=", "gcd of generators"))
+        assert code == 1 and failed == ["semigroup-from-nongaps"]
+        details = checks["semigroup-from-nongaps"]["details"]
+        assert all(keep(n, q) for n in details["nongaps"])
+        # fk 5's box certifies nothing above q+1, so no generator is left
+        assert details["nongaps"] or argv[0] == "fk"
+        assert details["error"].startswith(
+            ("q=", "gcd of generators", "generators must be positive"))
 
     def test_fk_genus_formula_disagrees_with_riemann_hurwitz(self, capsys,
                                                               monkeypatch):
@@ -294,15 +292,20 @@ class TestFaultsFailChecks:
 
 
 def _scan_fault(edit):
-    """A fault on the monomial scan: it returns edit(scan, q) instead."""
+    """A fault on the monomial scan: it returns edit(scan) instead."""
     def fault(real):
-        return lambda table, target, ranges, q: edit(real(table, target, ranges, q), q)
+        return lambda *args: edit(real(*args))
     return fault
 
 
 def _scan_drops(nongap):
-    return _scan_fault(lambda scan, q: dict(
+    return _scan_fault(lambda scan: dict(
         scan, nongaps=[n for n in scan["nongaps"] if n != nongap]))
+
+
+def _scan_gains(nongap):
+    return _scan_fault(lambda scan: dict(
+        scan, nongaps=sorted(scan["nongaps"] + [nongap])))
 
 
 def _a0_class_loses_a_point(classes, d):
@@ -311,15 +314,17 @@ def _a0_class_loses_a_point(classes, d):
     return [(coords, n - 1, *rest), *others]
 
 
-def _pole_of_x_over_y_minus_beta_off_by_one(scan, q):
+def _pole_of_x_over_y_minus_beta_off_by_one(scan):
     witnesses = dict(scan["witnesses"])
-    witnesses[q - 3] = witnesses.pop(q - 2)
+    pole = next(n for n, w in witnesses.items()
+                if w == {"x": 1, "y-beta": -1, "z": 0})
+    witnesses[pole - 1] = witnesses.pop(pole)
     return dict(scan, witnesses=witnesses)
 
 
 def _scan_drops_witnessed(nongap):
     # the scan misses the non-gap together with the monomial that certifies it
-    return _scan_fault(lambda scan, q: dict(
+    return _scan_fault(lambda scan: dict(
         scan, nongaps=[n for n in scan["nongaps"] if n != nongap],
         witnesses={n: w for n, w in scan["witnesses"].items() if n != nongap}))
 
@@ -333,11 +338,6 @@ def _no_fiber_splits(classes, d):
 def _pinf_j2_is_5(real):
     # 5 is not among the j_2 values {2, 3, 4} allowed at q = 7
     return lambda S, q: (0, 1, 5, 8)
-
-
-def _ramified_gains_20(scan, q):
-    # 20 < 21, the smallest non-gap at P0 of GK qbar = 3
-    return dict(scan, nongaps=sorted(scan["nongaps"] + [20]))
 
 
 class TestEveryCheckCanFail:
@@ -356,8 +356,9 @@ class TestEveryCheckCanFail:
         (["fk", "--q", "11"], (curves, "weierstrass_nongaps_from_monomials"),
          _scan_fault(_pole_of_x_over_y_minus_beta_off_by_one),
          {"distinguished-pole-order"}),
+        # 20 < 21, the smallest non-gap at P0 of GK qbar = 3
         (["gk", "--qbar", "3"], (curves, "weierstrass_nongaps_from_monomials"),
-         _scan_fault(_ramified_gains_20),
+         _scan_gains(20),
          {"ramified-semigroup-gap-count", "ramified-orders"}),
         (["gsx49"], (numsg, "rational_point_orders"), _pinf_j2_is_5,
          {"j2-at-Pinf", "j2-values-allowed"}),
@@ -365,9 +366,13 @@ class TestEveryCheckCanFail:
          _scan_drops_witnessed(5), {"monomial-certified-nongaps"}),
         (["gk", "--qbar", "2"], (curves, "_kummer_census"),
          _census_fault(_no_fiber_splits), {"maximality"}),
+        # q - 1 = 10 joins <9, 11, 12>, which then has fewer than g = 19 gaps
+        (["fk", "--q", "11"], (curves, "weierstrass_nongaps_from_monomials"),
+         _scan_gains(10), {"semigroup-gap-count"}),
     ], ids=["gsx49-scan-drops-5", "gsx49-census-delta", "fk11-a0-fiber-root",
             "fk11-pole-order", "gk3-extra-generator", "gsx49-pinf-j2-is-5",
-            "gsx49-scan-drops-5-and-its-witness", "gk2-no-fiber-splits"])
+            "gsx49-scan-drops-5-and-its-witness", "gk2-no-fiber-splits",
+            "fk11-scan-gains-10"])
     def test_fault_fails_its_checks(self, capsys, monkeypatch, argv, target,
                                     fault, failed):
         if target:
@@ -526,3 +531,16 @@ def test_startup_imports_no_dataclasses_or_fractions():
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_entry_point_script_on_the_source_tree():
+    # the CI's exit-code assertions (ci/entry_point.sh), with the source
+    # tree's main() in place of the installed script: about 30 commands,
+    # each a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHON=sys.executable)
+    done = subprocess.run(
+        ["bash", str(root / "ci" / "entry_point.sh"), sys.executable, "-c",
+         "from maxcurves.cli import main; main()"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -550,7 +550,11 @@ def builtin_tables():
     yield from map(curves.gk_divisor_table, range(2, 10))
 
 
-FK_BOX = {"x": range(3), "y-beta": range(-2, 1)}
+# the box of the FK report: x, y-beta and z have valuations 3, q+1 and 1
+# at P0_beta, and x/(y-beta), z/(y-beta), 1/(y-beta) witness q-2, q, q+1
+FK_BOX = {"x": range(2), "y-beta": range(-1, 1), "z": range(2)}
+FK_WITNESSES = ({"x": 1, "y-beta": -1, "z": 0}, {"x": 0, "y-beta": -1, "z": 1},
+                {"x": 0, "y-beta": -1, "z": 0})
 
 
 class TestDivisors:
@@ -636,26 +640,42 @@ class TestDivisors:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             curves.weierstrass_nongaps_from_monomials(
-                curves.gsx49_divisor_table(), "Pinf", {"w": range(2)}, 7)
+                curves.gsx49_divisor_table(), "Pinf", {"w": range(2)})
 
     def test_fk_pole_of_x_over_y_minus_beta(self):
         # x/(y-beta) is effective away from P0_beta, with pole q-2 there
         for q in (5, 11, 17):
             scan = curves.weierstrass_nongaps_from_monomials(
-                curves.fk_divisor_table(q), "P0_beta", FK_BOX, q)
-            assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1}
+                curves.fk_divisor_table(q), "P0_beta", FK_BOX)
+            assert scan["witnesses"][q - 2] == {"x": 1, "y-beta": -1, "z": 0}
+
+    @pytest.mark.parametrize("q", FK_CATALOG + (89, 125, 701))
+    def test_fk_box_certifies_exactly_the_three_generators(self, q):
+        # each witness is effective away from P0_beta, with pole q-2, q and
+        # q+1 there, and no other monomial of the box is
+        scan = curves.weierstrass_nongaps_from_monomials(
+            curves.fk_divisor_table(q), "P0_beta", FK_BOX)
+        assert scan["nongaps"] == [0, q - 2, q, q + 1]
+        assert [scan["witnesses"][n] for n in (q - 2, q, q + 1)] == list(FK_WITNESSES)
+
+    def test_fk_generators_have_the_fk_genus_in_gaps(self):
+        # Selmer's formula: <q-2, q, q+1> has (q^2-q+4)/6 gaps for every odd
+        # q = 2 mod 3, so the three generators give all of H(P0_beta)
+        for q in range(5, 1000, 6):
+            S = numsg.semigroup_from_generators((q - 2, q, q + 1))
+            assert S.genus == (q * q - q + 4) // 6
 
     def test_large_fk_table_is_four_classes(self):
         q, m3 = 10007, 3336
         start = time.perf_counter()
         table = curves.fk_divisor_table(q)
-        scan = curves.weierstrass_nongaps_from_monomials(table, "P0_beta", FK_BOX, q)
+        scan = curves.weierstrass_nongaps_from_monomials(table, "P0_beta", FK_BOX)
         assert time.perf_counter() - start < 1.0
         assert table.places == {"P0_beta": (1, (3, q + 1, 1)),
                                 "P0_beta'": (m3 - 1, (3, 0, 1)),
                                 "zeros-of-y": (m3, (0, 0, 1)),
                                 "Pinf": (m3, (-3, -3, -2))}
-        assert [n for n in scan["nongaps"] if n <= q + 1] == [0, q - 2, q, q + 1]
+        assert scan["nongaps"] == [0, q - 2, q, q + 1]
 
 
 class TestGKDivisorTable:
@@ -664,7 +684,7 @@ class TestGKDivisorTable:
     @pytest.mark.parametrize("qbar", range(2, 10))
     def test_scan_certifies_the_ramified_semigroup(self, qbar):
         scan = curves.weierstrass_nongaps_from_monomials(
-            curves.gk_divisor_table(qbar), "P0", self.BOX, qbar ** 3)
+            curves.gk_divisor_table(qbar), "P0", self.BOX)
         S = numsg.semigroup_from_generators(n for n in scan["nongaps"] if n)
         gens = (qbar ** 3 - qbar ** 2 + qbar, qbar ** 3, qbar ** 3 + 1)
         assert S.minimal_generators == gens
@@ -678,15 +698,14 @@ class TestGKDivisorTable:
         table = curves.gk_divisor_table(qbar)
 
         def semigroup(ranges):
-            scan = curves.weierstrass_nongaps_from_monomials(
-                table, "P0", ranges, qbar ** 3)
+            scan = curves.weierstrass_nongaps_from_monomials(table, "P0", ranges)
             return numsg.semigroup_from_generators(n for n in scan["nongaps"] if n)
 
         wide = semigroup({"x": range(4), "y": range(-3, 4), "z": range(-3, 4)})
         assert wide.apery == semigroup(self.BOX).apery
 
 
-def reference_scan(table, target, ranges, q):
+def reference_scan(table, target, ranges):
     """The scan written out place class by place class: each monomial's
     divisor as a class-id dict, effective away from the target."""
     symbols = list(ranges)
@@ -701,8 +720,6 @@ def reference_scan(table, target, ranges, q):
             continue
         if div[target] < 0 and -div[target] not in witnesses:
             witnesses[-div[target]] = exps
-    for n in (q, q + 1):
-        witnesses.setdefault(n, "maximality")
     return {"nongaps": sorted(witnesses), "witnesses": witnesses}
 
 
@@ -710,7 +727,7 @@ class TestMonomialScan:
     def test_gsx49_scan(self):
         table = curves.gsx49_divisor_table()
         res = curves.weierstrass_nongaps_from_monomials(
-            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)}, 7)
+            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)})
         nongaps = set(res["nongaps"])
         assert {0, 5, 7, 8, 10, 12, 13} <= nongaps
         assert 6 not in nongaps
@@ -718,10 +735,8 @@ class TestMonomialScan:
     def test_gsx49_witnesses_satisfy_constraint(self):
         table = curves.gsx49_divisor_table()
         res = curves.weierstrass_nongaps_from_monomials(
-            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)}, 7)
+            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)})
         for n, wit in res["witnesses"].items():
-            if wit == "maximality":
-                continue
             i, j = wit["z"], -wit["t+1"]
             assert 3 * i >= 8 * j
             if n:
@@ -730,23 +745,22 @@ class TestMonomialScan:
     def test_scan_generates_true_semigroup(self):
         table = curves.gsx49_divisor_table()
         res = curves.weierstrass_nongaps_from_monomials(
-            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)}, 7)
+            table, "Pinf", {"z": range(0, 15), "t+1": range(-7, 1)})
         S = numsg.semigroup_from_generators(n for n in res["nongaps"] if n)
         assert numsg.nongaps_upto(S, 8) == [0, 5, 7, 8]
         assert S.genus == 7
 
     def test_fk_scan(self):
         table = curves.fk_divisor_table(5)
-        res = curves.weierstrass_nongaps_from_monomials(
-            table, "P0_beta", {"x": range(0, 9), "y-beta": range(-4, 1)}, 5)
-        assert {0, 3, 5, 6} <= set(res["nongaps"])
-        assert res["witnesses"][3] == {"x": 1, "y-beta": -1}
+        res = curves.weierstrass_nongaps_from_monomials(table, "P0_beta", FK_BOX)
+        assert res["nongaps"] == [0, 3, 5, 6]
+        assert [res["witnesses"][n] for n in (3, 5, 6)] == list(FK_WITNESSES)
 
     def test_unknown_target(self):
         table = curves.gsx49_divisor_table()
         with pytest.raises(ValueError):
             curves.weierstrass_nongaps_from_monomials(
-                table, "nowhere", {"z": range(2)}, 7)
+                table, "nowhere", {"z": range(2)})
 
     @pytest.mark.parametrize("table,target", [
         (curves.gsx49_divisor_table(), "P1,P2"), (curves.fk_divisor_table(11), "Pinf"),
@@ -754,7 +768,7 @@ class TestMonomialScan:
     def test_target_of_several_places_is_rejected(self, table, target):
         with pytest.raises(ValueError, match="not one place"):
             curves.weierstrass_nongaps_from_monomials(
-                table, target, {table.symbols[0]: range(2)}, 7)
+                table, target, {table.symbols[0]: range(2)})
 
     # None is GSX49, q = 8, 27, 64 is GK with q = qbar^3, and the rest FK
     @pytest.mark.parametrize("q", [None, 5, 11, 17, 23, 29, 8, 27, 64])
@@ -770,24 +784,26 @@ class TestMonomialScan:
             table, target = curves.fk_divisor_table(q), "P0_beta"
             g = curves.genus_fk(q)
             ranges = {"x": range(0, 2 * g + 1), "y-beta": range(-g, 1)}
-        got = curves.weierstrass_nongaps_from_monomials(table, target, ranges, q)
-        want = reference_scan(table, target, ranges, q)
+        got = curves.weierstrass_nongaps_from_monomials(table, target, ranges)
+        want = reference_scan(table, target, ranges)
         assert got["nongaps"] == want["nongaps"]
         assert list(got["witnesses"].items()) == list(want["witnesses"].items())
 
     @pytest.mark.parametrize("q", [5, 11, 17, 23, 29])
     def test_fk_capped_box_keeps_the_nongaps_up_to_q_plus_1(self, q):
-        table, g = curves.fk_divisor_table(q), curves.genus_fk(q)
+        table = curves.fk_divisor_table(q)
 
-        def known(ranges):
-            scan = curves.weierstrass_nongaps_from_monomials(
-                table, "P0_beta", ranges, q)
-            return [n for n in scan["nongaps"] if n <= q + 1]
+        def nongaps(ranges):
+            return curves.weierstrass_nongaps_from_monomials(
+                table, "P0_beta", ranges)["nongaps"]
 
-        capped = known({"x": range(q + 2), "y-beta": range(-(q + 1), 1)})
-        assert capped == known({"x": range(2 * g + 1), "y-beta": range(-g, 1)})
-        assert capped == [0, q - 2, q, q + 1]
-        assert known({"x": range(3), "y-beta": range(-2, 1)}) == capped
+        wide = nongaps({"x": range(q + 2), "y-beta": range(-(q + 1), 1),
+                        "z": range(q + 2)})
+        assert [n for n in wide if n <= q + 1] == nongaps(FK_BOX)
+        assert nongaps(FK_BOX) == [0, q - 2, q, q + 1]
+        # a wider box certifies only members of <q-2, q, q+1>
+        S = numsg.semigroup_from_generators((q - 2, q, q + 1))
+        assert all(numsg.contains(S, n) for n in wide)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -815,8 +831,7 @@ class TestMonomialScan:
             step = data.draw(st.sampled_from([-2, -1, 1, 2]))
             ranges[sym] = range(start, start + step * data.draw(st.integers(0, 6)),
                                 step)
-        q = data.draw(st.integers(1, 9))
-        got = curves.weierstrass_nongaps_from_monomials(table, target, ranges, q)
-        want = reference_scan(table, target, ranges, q)
+        got = curves.weierstrass_nongaps_from_monomials(table, target, ranges)
+        want = reference_scan(table, target, ranges)
         assert got["nongaps"] == want["nongaps"]
         assert list(got["witnesses"].items()) == list(want["witnesses"].items())

@@ -38,29 +38,29 @@ GOLDEN = {
     "verify gsx49 --format json":
         (0, "ca440c5f6b5168c8d97cd0bc6e62a6d3fa450e79e97dcf023025ad7046fc454d"),
     "verify fk --q 5 --format json":
-        (0, "3c06bac74582e1d532e63e41294c61ac189a27a6727458d18591b1e05e1426cc"),
+        (0, "96e59c496517d5bc6e0698715917a990ff98dc4b363328168c8c0d006641ef21"),
     "verify fk --q 11 --format json":
-        (0, "df85e953d760d4c27aea6f80218873a82032bcaf1d7856e431de740112fb1eba"),
+        (0, "6019d17265baec265a87dbe1439aaf1870bd1fadb8983053e9ff89431744db80"),
     "verify fk --q 17 --format json":
-        (0, "e8459616267d4381d77c6da31d0f4c7daa1c42727795093665378aa7dc094edc"),
+        (0, "c2a08780a9415f985559bced761b589788f645c5424f5d9897c5696cf28d257c"),
     "verify fk --q 23 --format json":
-        (0, "4c58c82ef4156850ea744411ae09eb86d1e79eb8e5728bc20310708c52a7241a"),
+        (0, "89af79dbcf2d2bb92db76a28d6180364157adfff7740584fd5074a4952a5f5f9"),
     "verify fk --q 29 --format json":
-        (0, "a221e089b0d35ea5e586b2b89c91e7df1ab826a5445fb9a2e535375b0e992983"),
+        (0, "fa8add73175b1bc7682201f093cd079730dd4fa7bcb3b18b3997550e2042c57a"),
     "verify fk --q 41 --format json":
-        (0, "191f47d7751455fe61155124c3ae611c12556de8c50c080785762cd8dec5f64e"),
+        (0, "a9668418c8a2c0bd3243923f5d210400c37f258c4a16cdc53f3699289ba2a8fa"),
     "verify fk --q 47 --format json":
-        (0, "b79fe8420b8ed961f30f6bb6fbd406286902fcbb2be707e5304ca444d52ec5bd"),
+        (0, "ea5d0f3c9a97ed70a3d043d130ac65a3116ad2c3ec20e2a7c3b0a59ca53e6fbe"),
     "verify fk --q 53 --format json":
-        (0, "3e3aa4f3ef1000555e2fe6faee3b994f215d2c69502a2d1784a1d202254a2c3b"),
+        (0, "8ecca8a4bb8ad3e703b19c440c748d7de26ed4077a6560197593332b0f97a019"),
     "verify fk --q 59 --format json":
-        (0, "b34d082e20ca2d05799af90d73b520f111425b669880ca21db571253f160e43c"),
+        (0, "f758bb516ae80aa8751aea35bee28437ee97ea352189d80e2a94349795d8f6b7"),
     "verify fk --q 71 --format json":
-        (0, "57989b8900684bb1781d13a7b8aa54e216d94d6a67f0365bd829d102f8a097ea"),
+        (0, "ac57ad421948877cac17022cda7a796ddfb4ddf7702eac2fbd36851759fd93d5"),
     "verify gk --qbar 2 --format text":
         (0, "389eb4bf6c7ed723314cd58e104ff1e0d92d5a47adc0060f3277312776e6db70"),
     "verify fk --q 11 --format text":
-        (0, "d375dbed8e39929f23ece32fb55459ff4052f4fe7dfe5bbcf6d178abe5aaa30b"),
+        (0, "777bfc56d4706325f2ac488ef448c4d85c128e16f2bc8267ceb9602fbffff8f4"),
     "verify gk --qbar 2 --inject-census-delta 1":
         (1, "86a418b204a595f6357125c4059f52c6eaeda2c220ce9c5db9ffa759e7e59cb0"),
     "semigroup --gens 21,27,28 --format json":

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxcurves import cli, curves, gf, verify
+from maxcurves import cli, curves, gf, numsg, verify
 from maxcurves.curves import PlaceCensus
 
 
@@ -281,7 +281,9 @@ class TestEpsilonDeduction:
             verify.deduce_epsilon_sequence({}, 7, 7, 7)
 
     def test_rejects_wrong_dimension(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "deduce_frobenius_dimension", lambda q, g: {4})
+        # orders with r = 4 at P0_beta
+        monkeypatch.setattr(numsg, "rational_point_orders",
+                            lambda S, q: (0, 1, 2, 3, q + 1))
         assert cli.run(["verify", "fk", "--q", "5", "--format", "json"]) == 1
         rep = json.loads(capsys.readouterr().out)["report"]
         eps = next(c for c in rep["checks"] if c["name"] == "epsilon-sequence")
@@ -347,6 +349,7 @@ class TestTheoremReports:
         assert fk11.passing
         assert fk11.epsilon_sequence == [0, 1, 2, 11]
         assert fk11.frobenius_dimension["from_bound"] == [3]
+        assert fk11.frobenius_dimension["from_semigroup"] == 3
         assert fk11.order_sequences["distinguished"] == [0, 1, 3, 12]
 
     def test_gk4_passes(self):
