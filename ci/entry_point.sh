@@ -63,6 +63,10 @@ expect 2 verify fk --q 7
 expect 2 deduce-dim --q 1099511627689 --g 3
 mc semigroup --gens 3,1000000000000 --format json > /dev/null
 expect 2 semigroup --gens 2,3 --upto 1048577
+# the 2^20 caps (smallest generator, --q) answer within the timeout
+mc semigroup --gens 1048573,1048574,1048575 --format json | "$py" -m json.tool > /dev/null
+mc orders --gens 1021,1048573,1048574 --q 1048573 --format json \
+    | "$py" -m json.tool > /dev/null
 expect 2 verify gk --qbar 5
 expect 2 bound --q 4 --r 100
 mc orders --gens 5,7,8 --q 7

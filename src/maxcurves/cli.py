@@ -29,10 +29,12 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 
-#: Largest --q, smallest generator and --upto the query commands accept:
-#: `deduce-dim` answers with and `orders` sieves about q entries, the
-#: Apéry set has one entry per residue of the smallest generator, and
-#: `semigroup --upto B` lists up to B + 1 non-gaps.
+#: Largest --q, smallest generator and --upto the query commands accept.
+#: They bound each command's cost: every --q is factored by trial division
+#: up to its square root, `deduce-dim` lists at most q dimensions, and
+#: `semigroup` and `orders` take k·m steps for the Apéry set of k
+#: generators with smallest m, plus one per number listed: at most B + 1
+#: non-gaps for `semigroup --upto B`, at most q + 2 orders for `orders`.
 QUERY_Q_CAP = 2 ** 20
 
 

@@ -525,7 +525,7 @@ def test_only_gk_and_gsx49_build_field_tables(monkeypatch, capsys, argv, builds)
 def test_startup_imports_no_dataclasses_or_fractions():
     # every command pays for what `import maxcurves.cli` loads
     probe = ("import maxcurves.cli, sys; print(sorted(m for m in ('dataclasses', "
-             "'inspect', 'fractions', 'argparse', 'gettext', 'json', 're') "
+             "'inspect', 'fractions', 'argparse', 'gettext', 'json', 're', 'heapq') "
              "if m in sys.modules))")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,

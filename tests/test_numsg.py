@@ -1,5 +1,8 @@
 """Apéry-set semigroups vs. independent oracles, order-sequence translation."""
 
+import heapq
+import sys
+import tracemalloc
 from math import gcd
 from functools import reduce
 
@@ -41,6 +44,38 @@ def assert_matches_sieve(S, gens):
     assert S.conductor == (gaps[-1] + 1 if gaps else 0)
     assert [numsg.contains(S, n) for n in range(bound + 1)] == table
     assert numsg.contains(S, bound + 1) and numsg.contains(S, 7 * bound + 3)
+
+
+def dijkstra_apery(gens):
+    """Oracle: the Apéry set as shortest paths from residue 0 on the
+    residues modulo m = min(gens), each generator g an edge r -> r + g
+    of length g, by heap Dijkstra."""
+    m = min(gens)
+    dist = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if dist[r] is None:
+            dist[r] = d
+            for g in gens:
+                if dist[(r + g) % m] is None:
+                    heapq.heappush(heap, (d + g, (r + g) % m))
+    return dist
+
+
+@st.composite
+def query_scale_generators(draw):
+    """4 to 6 generators as the query commands meet them: the smallest m
+    up to 1000, the others in (m, 2m], at least one sharing a factor
+    p > 1 with m, and one given twice."""
+    p = draw(st.integers(2, 10))
+    m = p * draw(st.integers(1, 1000 // p))
+    shared = m + p * draw(st.integers(1, m // p))
+    rest = draw(st.lists(st.integers(m + 1, 2 * m), min_size=1, max_size=3))
+    gens = [m, shared, *rest, draw(st.sampled_from(rest))]
+    if reduce(gcd, gens) != 1:
+        gens.append(m + 1)
+    return gens
 
 
 def brute_gaps(gens, bound):
@@ -129,6 +164,19 @@ class TestMembership:
         S = numsg.semigroup_from_generators({5, 7, 8})
         assert numsg.contains(S, S.bound + 123)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(1, 60), min_size=1, max_size=5),
+           st.sampled_from(["zero", "below-m", "past-conductor"]),
+           st.integers(0, 200))
+    def test_nongaps_upto_matches_sieve(self, gens, where, extra):
+        if reduce(gcd, gens) != 1:
+            gens = gens | {max(gens) + 1}
+        S = numsg.semigroup_from_generators(gens)
+        B = {"zero": 0, "below-m": extra % min(gens),
+             "past-conductor": S.conductor + extra}[where]
+        table = sieve(gens, B)
+        assert numsg.nongaps_upto(S, B) == [n for n in range(B + 1) if table[n]]
+
     def test_nongaps_upto(self):
         assert numsg.nongaps_upto(numsg.semigroup_from_generators({5, 7, 8}), 8) == [0, 5, 7, 8]
         assert numsg.nongaps_upto(numsg.semigroup_from_generators({21, 27, 28}), 28) == [0, 21, 27, 28]
@@ -156,6 +204,28 @@ class TestAperyOracle:
         bigger = numsg.semigroup_from_generators(gens | {extra})
         assert bigger.genus <= S.genus  # adding a generator never adds gaps
         assert list(S.gaps) == brute_gaps(sorted(gens), schur_bound(gens))
+
+    @pytest.mark.parametrize("gens", [(895, 931, 1290), (240, 3557, 3558),
+                                      (1000, 1500, 1250, 1001, 1500)])
+    def test_agrees_with_dijkstra(self, gens):
+        assert numsg.semigroup_from_generators(gens).apery == dijkstra_apery(gens)
+
+    @given(query_scale_generators())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_dijkstra_at_query_scale(self, gens):
+        assert numsg.semigroup_from_generators(gens).apery == dijkstra_apery(gens)
+
+    @pytest.mark.parametrize("gens", [(65521, 65536, 98304), (65537, 65538, 65539)])
+    def test_peak_memory_is_about_the_apery_set(self, gens):
+        # a walk that copies each cycle and rebinds every residue it
+        # passes peaked at 2.2 times the Apéry list's bytes here
+        tracemalloc.start()
+        try:
+            S = numsg.semigroup_from_generators(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (sys.getsizeof(S.apery) + sum(map(sys.getsizeof, S.apery)))
 
     @pytest.mark.parametrize("a,b", [(1, 7), (2, 3), (3, 5), (7, 12),
                                      (1000, 1001), (4093, 4096)])
