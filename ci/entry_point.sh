@@ -67,6 +67,10 @@ expect 2 semigroup --gens 2,3 --upto 1048577
 mc semigroup --gens 1048573,1048574,1048575 --format json | "$py" -m json.tool > /dev/null
 mc orders --gens 1021,1048573,1048574 --q 1048573 --format json \
     | "$py" -m json.tool > /dev/null
+# a long listing at the --upto cap: 499500 of its 549077 non-gaps lie
+# below the conductor, one sorted run per residue
+mc semigroup --gens 1000,1001 --upto 1048576 --format json \
+    | "$py" -m json.tool > /dev/null
 expect 2 verify gk --qbar 5
 expect 2 bound --q 4 --r 100
 mc orders --gens 5,7,8 --q 7

@@ -33,8 +33,9 @@ USAGE_ERROR = 2
 #: They bound each command's cost: every --q is factored by trial division
 #: up to its square root, `deduce-dim` lists at most q dimensions, and
 #: `semigroup` and `orders` take k·m steps for the Apéry set of k
-#: generators with smallest m, plus one per number listed: at most B + 1
-#: non-gaps for `semigroup --upto B`, at most q + 2 orders for `orders`.
+#: generators with smallest m, plus a sort of the listed numbers: at most
+#: B + 1 non-gaps for `semigroup --upto B`, at most q + 2 orders for
+#: `orders`.
 QUERY_Q_CAP = 2 ** 20
 
 

@@ -6,7 +6,7 @@ modulo m, the least element of the semigroup congruent to r.  Round
 robin (Böcker and Lipták, Algorithmica 48, 2007) builds it in O(k·m)
 steps for k generators.  It decides membership, gives the gap count by
 Selmer's formula (J. Reine Angew. Math. 293/294, 1977), and lists the
-non-gaps below a bound in O(m + output) steps, however far it is.
+non-gaps below a bound by sorting one arithmetic run per residue.
 """
 
 from __future__ import annotations
@@ -97,25 +97,14 @@ def contains(S: NumericalSemigroup, n: int) -> bool:
 
 
 def nongaps_upto(S: NumericalSemigroup, B: int) -> list[int]:
-    """The non-gaps of S in [0, B], increasing, in O(m + output) steps.
-    Below the conductor c, block [k·m, k·m + m) holds k·m + r for each
-    residue r whose Apéry element lies in block k or before; then [c, B]."""
+    """The non-gaps of S in [0, B], increasing.  Below the conductor c,
+    those ≡ r mod m are the run apery[r], apery[r] + m, ...; one sort
+    merges the runs, and every n in [c, B] follows."""
     if B < 0:
         raise ValueError("B must be non-negative")
     m, c = S.generators[0], S.conductor
     top = min(B + 1, c)
-    joins = {}  # block -> the residues whose Apéry element lies in it
-    for w in S.apery:
-        if w < top:
-            joins.setdefault(w // m, []).append(w % m)
-    # block by block: no sort, and the ints are made in reading order
-    nongaps, active = [], []
-    starts = [*sorted(joins), -(-top // m)]
-    for k, end in zip(starts, starts[1:]):
-        active = sorted(active + joins[k])
-        nongaps += [b + r for b in range(k * m, end * m, m) for r in active]
-    while nongaps and nongaps[-1] >= top:  # the last block may pass top
-        nongaps.pop()
+    nongaps = sorted([n for w in S.apery if w < top for n in range(w, top, m)])
     nongaps.extend(range(c, B + 1))
     return nongaps
 

@@ -245,15 +245,18 @@ class TestFaultsFailChecks:
             "orders": [0, 1, 6], "j2": 6}
 
     def test_fk_scan_certifies_no_nongap_up_to_q_plus_1(self, capsys, monkeypatch):
+        # at q = 11 the scan keeps only 0, which generates nothing
         fault = _scan_fault(lambda scan: dict(
-            scan, nongaps=[n for n in scan["nongaps"] if n == 0 or n > 6]))
+            scan, nongaps=[n for n in scan["nongaps"] if n == 0 or n > 12]))
         monkeypatch.setattr(curves, "weierstrass_nongaps_from_monomials",
                             fault(curves.weierstrass_nongaps_from_monomials))
-        code, checks = verify_json(["verify", "fk", "--q", "5"], capsys)
+        code, checks = verify_json(["verify", "fk", "--q", "11"], capsys)
         assert code == 1
         assert [name for name, c in checks.items() if not c["passed"]] == [
             "semigroup-from-nongaps"]
-        code, out, err = run_capture(["verify", "fk", "--q", "5"], capsys)
+        assert checks["semigroup-from-nongaps"]["details"] == {
+            "nongaps": [0], "error": "generators must be positive integers"}
+        code, out, err = run_capture(["verify", "fk", "--q", "11"], capsys)
         assert code == 1 and "result: FAIL" in out and err == ""
 
     @pytest.mark.parametrize("argv,q", [(["gk", "--qbar", "2"], 8), (["gsx49"], 7),
