@@ -30,12 +30,11 @@ SCHEMA_VERSION = 1
 USAGE_ERROR = 2
 
 #: Largest --q, smallest generator and --upto the query commands accept.
-#: They bound each command's cost: every --q is factored by trial division
-#: up to its square root, `deduce-dim` lists at most q dimensions, and
-#: `semigroup` and `orders` take k·m steps for the Apéry set of k
-#: generators with smallest m, plus a sort of the listed numbers: at most
-#: B + 1 non-gaps for `semigroup --upto B`, at most q + 2 orders for
-#: `orders`.
+#: Each bounds a cost: --q is factored by trial division up to its square
+#: root and `deduce-dim` lists at most q dimensions; a semigroup holds one
+#: Apéry element per residue mod its smallest generator m; and the output
+#: is at most B + 1 non-gaps for `semigroup --upto B` and q + 2 orders for
+#: `orders`.  numsg's docstrings say how it builds and lists them.
 QUERY_Q_CAP = 2 ** 20
 
 
@@ -70,9 +69,7 @@ def _parse_gens(spec: str) -> list[int]:
         gens = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise ValueError(f"cannot parse generators {spec!r}")
-    if not gens:
-        raise ValueError("no generators given")
-    if min(gens) > QUERY_Q_CAP:
+    if min(gens, default=0) > QUERY_Q_CAP:
         raise ValueError(_over_cap(min(gens), "smallest-generator"))
     return gens
 

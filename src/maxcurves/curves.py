@@ -155,18 +155,16 @@ def gk_curve(qbar: int) -> CurveModel:
     check_field_size(qbar, 6)
     p, n = prime_power(qbar)
     F = make_field(p, 6 * n)  # F_{qbar^6} = F_{q^2} with q = qbar^3
-    q = qbar ** 3
-    d = qbar * qbar - qbar + 1
-    assert (q + 1) % d == 0
+    table = gk_divisor_table(qbar)
     return CurveModel(
         family="GK",
-        params={"qbar": qbar, "d": d},
+        params={"qbar": qbar, "d": table.d},
         field=F,
-        q=q,
+        q=qbar ** 3,
         p=p,
         equations=(f"y^{qbar + 1} = x^{qbar} + x",
-                   f"z^{d} = y*(x^{qbar ** 2 - 1} - 1)/(x^{qbar - 1} + 1)"),
-        table=gk_divisor_table(qbar),
+                   f"z^{table.d} = y*(x^{qbar ** 2 - 1} - 1)/(x^{qbar - 1} + 1)"),
+        table=table,
     )
 
 
@@ -226,10 +224,13 @@ def _points(F: FieldSpec, coords: tuple, la: int, m: int):
         yield coords + (y,), j
 
 
-def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
-                   ramified_id: str) -> tuple[PlaceCensus, int, int]:
-    """Count the places of z^d = f over the classes of affine base points
-    that ``classes`` yields as (coords, n, la, m, c) in walk order.
+def _kummer_census(curve: CurveModel, classes, split_id: str, ramified_id: str,
+                   branch: dict) -> tuple[PlaceCensus, int, int]:
+    """Count the places of the cover z^d = f that ``curve.table`` describes
+    over ``curve.field``: the classes of affine base points that
+    ``classes`` yields as (coords, n, la, m, c) in walk order, then the
+    table's classes the walk does not reach, ``branch`` = {class: sample
+    id}, infinite over a pole of f, else zeros of f.
 
     A class stands for n base points, each base coordinate named by its
     log (None for zero); its points are those that :func:`_points` lists,
@@ -238,13 +239,13 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
     iff m divides la (the walks yield only such classes; any other is
     skipped), and d divides N/m, the spacing of the roots, so the root
     j = la/m decides the class: d n places when d divides j + c, inert
-    otherwise.  The counts add up in locals and reach the census once, at
-    the end; points are listed, and the least z solved, only while a tag
-    still draws samples.  Returns the census and the split and inert base
-    point counts.
+    otherwise.  The counts add up in locals and reach the census once,
+    after the walk; points are listed, and the least z solved, only while
+    a tag still draws samples.  Returns the census and the split and inert
+    base point counts.
     """
-    census = PlaceCensus()
-    kept = census.samples
+    F, table, census = curve.field, curve.table, PlaceCensus()
+    d, kept = table.d, census.samples
     ramified = split = inert = 0
     for coords, n, la, m, c in classes:
         if m and la % m:
@@ -263,10 +264,12 @@ def _kummer_census(F: FieldSpec, d: int, classes, split_id: str,
                 census.add(AFFINE_SPLIT, 0, samples=(Place(split_id.format(
                     *pt, nth_roots(F, F.code((j + c) % (F.order - 1)), d)[0]), 1)
                     for pt, j in _points(F, coords, la, m)))
-    # the tags' first adds above fixed their key order
     for tag, n in ((ZERO_OF_COVER, ramified), (AFFINE_SPLIT, d * split)):
         if n:
             census.add(tag, n)
+    for pid, sample in branch.items():
+        n, e, vz, _ = table.kummer[pid]
+        census.add(INFINITE if vz < 0 else ZERO_OF_COVER, n, samples=[Place(sample, e)])
     return census, split, inert
 
 
@@ -327,9 +330,8 @@ def count_gk_places(curve: CurveModel) -> PlaceCensus:
             l_num = num[i]
             yield (i,), w * m, i + s, m, None if l_num < 0 else h + l_num - s
 
-    census, split, inert = _kummer_census(
-        F, curve.params["d"], classes(), "gk:x={},y={},z={}", "gk:x={},y={},z=0")
-    _add_branch_places(census, curve.table, {"P0": "gk:P0"})
+    census, split, inert = _kummer_census(curve, classes(), "gk:x={},y={},z={}",
+                                          "gk:x={},y={},z=0", {"P0": "gk:P0"})
     census.meta.update(split_fibers=split, inert_fibers=inert)
     return census
 
@@ -343,8 +345,7 @@ def count_gsx49_places(curve: CurveModel) -> PlaceCensus:
     F = curve.field
     classes = (((i,), 1, 0, 0, i + 6 * s)  # t0 = g^i, c = log t0 (t0 + 1)^6
                for i, s in enumerate(F.one_plus_every(1)) if s >= 0)  # t0 != -1
-    census, split, _ = _kummer_census(F, 16, classes, "gsx49:t={},z={}", "")
-    _add_branch_places(census, curve.table, {
+    census, split, _ = _kummer_census(curve, classes, "gsx49:t={},z={}", "", {
         "P0": "gsx49:P0", "P1,P2": "gsx49:P1", "Pinf": "gsx49:Pinf"})
     census.meta["sixteenth_power_fibers"] = split
     return census
@@ -394,9 +395,8 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
             else:
                 yield (i,), m3 * m3, h + s, m3, lw + i
 
-    census, _, inert = _kummer_census(F, 3, classes(), "fk:a={},b={},z={}",
-                                      "fk:a={},b={}")
-    _add_branch_places(census, curve.table, {"Pinf": "fk:Pinf,1"})
+    census, _, inert = _kummer_census(curve, classes(), "fk:a={},b={},z={}",
+                                      "fk:a={},b={}", {"Pinf": "fk:Pinf,1"})
     census.meta["condition5_violations"] = inert
     census.meta["fully_ramified_places"] = (census.counts.get(ZERO_OF_COVER, 0)
                                             + census.counts[INFINITE])
@@ -410,10 +410,12 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 class PrincipalDivisorTable:
     """Principal divisors of named function symbols, by place class:
     ``places[pid] = (n, row)`` stands for n places at each of which
-    ``symbols[i]`` has valuation ``row[i]`` (``kummer``: its kummer_places map)."""
+    ``symbols[i]`` has valuation ``row[i]`` (``kummer``: its kummer_places
+    map for the cover's degree ``d``)."""
 
-    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple], kummer=None):
-        self.symbols, self.places, self.kummer = symbols, places, kummer
+    def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple],
+                 kummer=None, d=None):
+        self.symbols, self.places, self.kummer, self.d = symbols, places, kummer, d
         for i, sym in enumerate(self.symbols):
             deg = sum(n * row[i] for n, row in self.places.values())
             if deg != 0:
@@ -438,15 +440,7 @@ def _kummer_table(d: int, symbols: tuple, base: dict) -> PrincipalDivisorTable:
     i, places = symbols.index("z"), kummer_places(d, base)
     return PrincipalDivisorTable(symbols, {
         pid: (n, row[:i] + (vz,) + row[i:]) for pid, (n, _, vz, row) in places.items()},
-        places)
-
-
-def _add_branch_places(census: PlaceCensus, table, samples: dict):
-    """Add the Kummer table's classes that the census walk does not reach,
-    {class: sample id}: infinite over a pole of f, else zeros of f."""
-    for pid, sample in samples.items():
-        n, e, vz, _ = table.kummer[pid]
-        census.add(INFINITE if vz < 0 else ZERO_OF_COVER, n, samples=[Place(sample, e)])
+        places, d)
 
 
 def gsx49_divisor_table() -> PrincipalDivisorTable:

@@ -60,7 +60,9 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     in increasing order, a generator is minimal iff not yet a non-gap.
     """
     generators = tuple(sorted(set(int(g) for g in gens)))
-    if not generators or generators[0] < 1:
+    if not generators:
+        raise ValueError("no generators given")
+    if generators[0] < 1:
         raise ValueError("generators must be positive integers")
     if reduce(gcd, generators) != 1:
         raise ValueError("gcd of generators must be 1 (finite gap set)")

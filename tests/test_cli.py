@@ -155,10 +155,10 @@ def verify_json(argv, capsys):
 
 def _census_fault(edit):
     """A fault on curves._kummer_census: it counts edit(classes, d) instead
-    of the classes the walk yields."""
+    of the classes the walk yields, d the degree of the curve's cover."""
     def fault(real):
-        def census(F, d, classes, *ids):
-            return real(F, d, edit(classes, d), *ids)
+        def census(curve, classes, *args):
+            return real(curve, edit(classes, curve.table.d), *args)
         return census
     return fault
 
@@ -255,7 +255,7 @@ class TestFaultsFailChecks:
         assert [name for name, c in checks.items() if not c["passed"]] == [
             "semigroup-from-nongaps"]
         assert checks["semigroup-from-nongaps"]["details"] == {
-            "nongaps": [0], "error": "generators must be positive integers"}
+            "nongaps": [0], "error": "no generators given"}
         code, out, err = run_capture(["verify", "fk", "--q", "11"], capsys)
         assert code == 1 and "result: FAIL" in out and err == ""
 
@@ -281,7 +281,7 @@ class TestFaultsFailChecks:
         # fk 5's box certifies nothing above q+1, so no generator is left
         assert details["nongaps"] or argv[0] == "fk"
         assert details["error"].startswith(
-            ("q=", "gcd of generators", "generators must be positive"))
+            ("q=", "gcd of generators", "no generators given"))
 
     def test_fk_genus_formula_disagrees_with_riemann_hurwitz(self, capsys,
                                                               monkeypatch):

@@ -49,9 +49,9 @@ def walked_classes(monkeypatch, count, curve):
     (coords, n, la, m, c)."""
     real, walked = curves._kummer_census, []
 
-    def spy(F, d, classes, *ids):
+    def spy(curve, classes, *args):
         walked.append(list(classes))
-        return real(F, d, walked[-1], *ids)
+        return real(curve, walked[-1], *args)
 
     monkeypatch.setattr(curves, "_kummer_census", spy)
     count(curve)
@@ -425,6 +425,38 @@ def test_censuses_read_the_field_only_through_its_interface(monkeypatch, family,
     assert count(proxy).to_fragment() == count(curve).to_fragment()
 
 
+def subcover_genus(curve, d):
+    """The genus of z^d = f, d | the catalog degree, from the closed forms:
+    GSX49's subcovers are GSX(7, 48/d), and d = 1 is the base curve, the
+    Hermitian curve for GK and FK's plane curve of degree (q+1)/3."""
+    if curve.family == "GSX49":
+        return curves.genus_gsx(7, 48 // d)
+    assert d == 1
+    if curve.family == "GK":
+        qbar = curve.params["qbar"]
+        return qbar * (qbar - 1) // 2
+    return curves.genus_plane_smooth((curve.q + 1) // 3)
+
+
+@pytest.mark.parametrize("family,param,d", [("gsx49", None, d) for d in (1, 2, 4, 8, 16)]
+                         + [("gk", qbar, 1) for qbar in (2, 3, 4)]
+                         + [("fk", q, 1) for q in FK_CATALOG])
+def test_census_counts_the_cover_its_table_describes(family, param, d):
+    # a cover covered by a maximal curve is maximal (Lachaud), so the
+    # unchanged census on the table rebuilt at d | table.d, from the base
+    # description its Kummer map inverts (n = count e/D, k = v(z) D/e,
+    # row/e), sits on Hasse-Weil for the subcover's genus
+    count, curve = catalog_census(family, param)
+    table, D = curve.table, curve.table.d
+    base = {pid: (n * e // D, vz * D // e, tuple(v // e for v in row))
+            for pid, (n, e, vz, row) in table.kummer.items()}
+    assert curves._kummer_table(D, table.symbols, base).places == table.places
+    assert D % d == 0
+    curve.table = curves._kummer_table(d, table.symbols, base)
+    census = count(curve)
+    assert census.total == curves.maximal_N(curve.q, subcover_genus(curve, d))
+
+
 class TestRamificationIndex:
     def test_gsx49_places_over_zeros_and_poles_of_f(self):
         # z^16 = t(t+1)^6: v(f) is 1, 6 and -7 over t = 0, -1 and infinity,
@@ -532,7 +564,7 @@ class TestClassCensus:
     def test_every_point_of_a_class_shares_its_verdict(self, monkeypatch, family,
                                                        param):
         count, curve = catalog_census(family, param)
-        F, d = curve.field, curve.params.get("d", 3)
+        F, d = curve.field, curve.table.d
         N = F.order - 1
         decided = 0
         for coords, n, la, m, c in walked_classes(monkeypatch, count, curve):
