@@ -125,8 +125,8 @@ def genus_plane_smooth(deg: int) -> int:
 
 def genus_fk(q: int) -> int:
     """Genus (q^2-q+4)/6 of the degree-3 Kummer cover (an integer for
-    every odd q = 2 mod 3); the report cross-checks it against the
-    Riemann-Hurwitz form."""
+    every odd q = 2 mod 3); the report cross-checks it, like every closed
+    form, against the Riemann-Hurwitz genus of the curve's divisor table."""
     _validate_fk_q(q)
     return (q * q - q + 4) // 6
 
@@ -410,12 +410,14 @@ def count_fk_places(curve: CurveModel) -> PlaceCensus:
 class PrincipalDivisorTable:
     """Principal divisors of named function symbols, by place class:
     ``places[pid] = (n, row)`` stands for n places at each of which
-    ``symbols[i]`` has valuation ``row[i]`` (``kummer``: its kummer_places
-    map for the cover's degree ``d``)."""
+    ``symbols[i]`` has valuation ``row[i]``.  A cover's table holds its
+    kummer_places map ``kummer``, degree ``d``, base genus ``g0`` and
+    ``genus`` by Riemann-Hurwitz (:func:`_kummer_table`)."""
 
     def __init__(self, symbols: tuple[str, ...], places: dict[str, tuple],
-                 kummer=None, d=None):
+                 kummer=None, d=None, g0=None, genus=None):
         self.symbols, self.places, self.kummer, self.d = symbols, places, kummer, d
+        self.g0, self.genus = g0, genus
         for i, sym in enumerate(self.symbols):
             deg = sum(n * row[i] for n, row in self.places.values())
             if deg != 0:
@@ -435,18 +437,21 @@ def kummer_places(d: int, base: dict) -> dict:
     return out
 
 
-def _kummer_table(d: int, symbols: tuple, base: dict) -> PrincipalDivisorTable:
-    """The table of z^d = f: a class per zero or pole of f or a scanned h."""
+def _kummer_table(d: int, g0: int, symbols: tuple, base: dict) -> PrincipalDivisorTable:
+    """The table of z^d = f over a curve of genus g0: a class per zero or pole
+    of f or a scanned h, and the genus by tame Riemann-Hurwitz, 2g - 2 =
+    d(2 g0 - 2) + sum n(e - 1) over the classes (even, as deg f = 0)."""
     i, places = symbols.index("z"), kummer_places(d, base)
+    ramified = sum(n * (e - 1) for n, e, _, _ in places.values())
     return PrincipalDivisorTable(symbols, {
         pid: (n, row[:i] + (vz,) + row[i:]) for pid, (n, _, vz, row) in places.items()},
-        places, d)
+        places, d, g0, 1 + d * (g0 - 1) + ramified // 2)
 
 
 def gsx49_divisor_table() -> PrincipalDivisorTable:
     """z^16 = t (t+1)^6 over the t-line, with v(f) = 1, 6, -7 at t = 0,
     -1, infinity: (z) = 3(P1 + P2) + P0 - 7 Pinf, (t+1) = 8(P1 + P2) - 16 Pinf."""
-    return _kummer_table(16, ("z", "t+1"), {
+    return _kummer_table(16, 0, ("z", "t+1"), {
         "P0": (1, 1, (0,)), "P1,P2": (1, 6, (1,)), "Pinf": (1, -7, (-1,))})
 
 
@@ -454,7 +459,8 @@ def gk_divisor_table(qbar: int) -> PrincipalDivisorTable:
     """z^d = u over the Hermitian curve, d = qb^2 - qb + 1: u has a pole of
     order qb^3 at P0 (the pole of x; distinguished) and simple zeros at the
     origin, the qb - 1 (a, 0) with a^(qb-1) = -1 and the qb^3 - qb others."""
-    return _kummer_table(qbar * qbar - qbar + 1, ("x", "y", "z"), {
+    return _kummer_table(qbar * qbar - qbar + 1, qbar * (qbar - 1) // 2,
+                         ("x", "y", "z"), {
         "P0": (1, -qbar ** 3, (-qbar - 1, -qbar)), "origin": (1, 1, (qbar + 1, 1)),
         "(a,0)": (qbar - 1, 1, (0, 1)), "zeros-of-u": (qbar ** 3 - qbar, 1, (0, 0))})
 
@@ -465,7 +471,7 @@ def fk_divisor_table(q: int) -> PrincipalDivisorTable:
     at the m3 (a, 0), both simple poles at the m3 Pinf; v(y - beta) = m3 at P0_beta."""
     _validate_fk_q(q)
     m3 = (q + 1) // 3
-    return _kummer_table(3, ("x", "y-beta", "z"), {
+    return _kummer_table(3, genus_plane_smooth(m3), ("x", "y-beta", "z"), {
         "P0_beta": (1, 1, (1, m3)), "P0_beta'": (m3 - 1, 1, (1, 0)),
         "zeros-of-y": (m3, 1, (0, 0)), "Pinf": (m3, -2, (-1, -1))})
 

@@ -293,6 +293,19 @@ class TestFaultsFailChecks:
         assert not cross["passed"]
         assert cross["details"] == {"formula": 5, "riemann_hurwitz": 4}
 
+    @pytest.mark.parametrize("argv,closed_form,genus", [
+        (["gk", "--qbar", "2"], "genus_gk", 10), (["gsx49"], "genus_gsx", 7)],
+        ids=["gk2", "gsx49"])
+    def test_genus_formula_disagrees_with_riemann_hurwitz(self, capsys, monkeypatch,
+                                                          argv, closed_form, genus):
+        real = getattr(curves, closed_form)
+        monkeypatch.setattr(curves, closed_form, lambda *args: real(*args) + 1)
+        code, checks = verify_json(["verify", *argv], capsys)
+        assert code == 1
+        cross = checks["genus-cross-check"]
+        assert not cross["passed"]
+        assert cross["details"] == {"formula": genus + 1, "riemann_hurwitz": genus}
+
 
 def _scan_fault(edit):
     """A fault on the monomial scan: it returns edit(scan) instead."""

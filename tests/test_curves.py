@@ -33,6 +33,22 @@ class TestGenusFormulas:
         assert curves.genus_fk(11) == 19
         assert curves.genus_fk(17) == 46
 
+    @pytest.mark.parametrize("family,param",
+                             [("gk", qbar) for qbar in (2, 3, 4, 5, 7, 8, 9)]
+                             + [("gsx49", None)]
+                             + [("fk", q) for q in FK_CATALOG + (89, 125)])
+    def test_table_genus_is_the_closed_form(self, monkeypatch, family, param):
+        # Riemann-Hurwitz on the divisor table alone, with no field built,
+        # past the field cap too
+        monkeypatch.setattr(curves, "make_field", None)
+        if family == "gk":
+            table, closed = curves.gk_divisor_table(param), curves.genus_gk(param)
+        elif family == "gsx49":
+            table, closed = curves.gsx49_divisor_table(), curves.genus_gsx(7, 3)
+        else:
+            table, closed = curves.fk_divisor_table(param), curves.genus_fk(param)
+        assert table.genus == closed
+
     def test_fk_rejects_bad_q(self):
         for q in (7, 9, 8, 15):
             with pytest.raises(ValueError):
@@ -438,21 +454,29 @@ def subcover_genus(curve, d):
     return curves.genus_plane_smooth((curve.q + 1) // 3)
 
 
+def kummer_base(table):
+    """The base description {class: (n, v(f), row)} that ``table``'s Kummer
+    map inverts: n = count e/d, k = v(z) d/e, row/e."""
+    D = table.d
+    return {pid: (n * e // D, vz * D // e, tuple(v // e for v in row))
+            for pid, (n, e, vz, row) in table.kummer.items()}
+
+
 @pytest.mark.parametrize("family,param,d", [("gsx49", None, d) for d in (1, 2, 4, 8, 16)]
                          + [("gk", qbar, 1) for qbar in (2, 3, 4)]
                          + [("fk", q, 1) for q in FK_CATALOG])
 def test_census_counts_the_cover_its_table_describes(family, param, d):
     # a cover covered by a maximal curve is maximal (Lachaud), so the
     # unchanged census on the table rebuilt at d | table.d, from the base
-    # description its Kummer map inverts (n = count e/D, k = v(z) D/e,
-    # row/e), sits on Hasse-Weil for the subcover's genus
+    # description its Kummer map inverts, sits on Hasse-Weil for the
+    # subcover's genus, which the rebuilt table gives by Riemann-Hurwitz
     count, curve = catalog_census(family, param)
     table, D = curve.table, curve.table.d
-    base = {pid: (n * e // D, vz * D // e, tuple(v // e for v in row))
-            for pid, (n, e, vz, row) in table.kummer.items()}
-    assert curves._kummer_table(D, table.symbols, base).places == table.places
+    base = kummer_base(table)
+    assert curves._kummer_table(D, table.g0, table.symbols, base).places == table.places
     assert D % d == 0
-    curve.table = curves._kummer_table(d, table.symbols, base)
+    curve.table = curves._kummer_table(d, table.g0, table.symbols, base)
+    assert curve.table.genus == subcover_genus(curve, d)
     census = count(curve)
     assert census.total == curves.maximal_N(curve.q, subcover_genus(curve, d))
 
@@ -666,7 +690,7 @@ class TestDivisors:
     def test_description_missing_a_pole_of_f_is_rejected(self):
         # GSX49 without t = infinity: (z) and (t+1) lose their poles
         with pytest.raises(ValueError, match="degree"):
-            curves._kummer_table(16, ("z", "t+1"),
+            curves._kummer_table(16, 0, ("z", "t+1"),
                                  {"P0": (1, 1, (0,)), "P1,P2": (1, 6, (1,))})
 
     def test_unknown_symbol(self):

@@ -30,13 +30,13 @@ ARGVS = ([f"verify {c} --format json" for c in CATALOG]
 
 GOLDEN = {
     "verify gk --qbar 2 --format json":
-        (0, "3278f40b252ae23ea50fa9efa4ee7ed1e0c146fddaa8e872f79d3adfc91970e5"),
+        (0, "03d48ae70ca39ddc3a28f8f6a818d4d0876ec0e5e2d82cb112ee451c412dc193"),
     "verify gk --qbar 3 --format json":
-        (0, "c5e06581e36515bd45758269b2a248076eb98d6560407478ba62d84db9e9159f"),
+        (0, "1ef8adbaace54e36cc20531aadcefbc9be427c499357c493720f79c4c577e1d2"),
     "verify gk --qbar 4 --format json":
-        (0, "bda2bcddd2d304e75987f8212eec0955fdf145d05e55ddf1bb93482d6182fefe"),
+        (0, "1e2ac8548ccff46f6d6322745212f401944e4192561283d9681f3f3b4855b826"),
     "verify gsx49 --format json":
-        (0, "ca440c5f6b5168c8d97cd0bc6e62a6d3fa450e79e97dcf023025ad7046fc454d"),
+        (0, "b30ac58486ef6f5dd4af5025f1629b088daecf997f0555931b6febd28ee7946e"),
     "verify fk --q 5 --format json":
         (0, "96e59c496517d5bc6e0698715917a990ff98dc4b363328168c8c0d006641ef21"),
     "verify fk --q 11 --format json":
@@ -58,11 +58,11 @@ GOLDEN = {
     "verify fk --q 71 --format json":
         (0, "ac57ad421948877cac17022cda7a796ddfb4ddf7702eac2fbd36851759fd93d5"),
     "verify gk --qbar 2 --format text":
-        (0, "389eb4bf6c7ed723314cd58e104ff1e0d92d5a47adc0060f3277312776e6db70"),
+        (0, "29dcd1a8db5c2f335bf2770f5125f21032053809bdb60847edc89ce5b2544455"),
     "verify fk --q 11 --format text":
         (0, "777bfc56d4706325f2ac488ef448c4d85c128e16f2bc8267ceb9602fbffff8f4"),
     "verify gk --qbar 2 --inject-census-delta 1":
-        (1, "86a418b204a595f6357125c4059f52c6eaeda2c220ce9c5db9ffa759e7e59cb0"),
+        (1, "17c9eab3a01d4746ca20b5239c17ba972aa2d16776a5875103e45e19b7958be2"),
     "semigroup --gens 21,27,28 --format json":
         (0, "b8350c6652f1c3f21b59e341ed5b82dc29c182bfe229c8ad53de3ede7d240495"),
     "semigroup --gens 21,27,28 --format text":

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxcurves import cli, curves, gf, numsg, verify
 from maxcurves.curves import PlaceCensus
+from test_curves import kummer_base
 
 
 def make_census(total):
@@ -369,6 +370,28 @@ class TestTheoremReports:
         assert rep.passing
         assert rep.census["total"] == total == curves.maximal_N(
             rep.q, rep.genus["formula"])
+
+    @pytest.mark.parametrize("make,d,genus,total,closed_form", [
+        (curves.gsx49_curve, 8, 3, 92, 7), (curves.gsx49_curve, 4, 1, 64, 7),
+        (lambda: curves.gk_curve(2), 1, 1, 81, 10)], ids=["gsx49-8", "gsx49-4", "gk2-1"])
+    def test_judges_the_cover_its_table_describes(self, make, d, genus, total,
+                                                   closed_form):
+        # the catalog table rebuilt at d | table.d: genus, d and the census
+        # all come from it, so the subcover is maximal; only the closed
+        # form, which names the catalog cover, disagrees
+        curve = make()
+        table = curve.table
+        curve.table = curves._kummer_table(d, table.g0, table.symbols,
+                                           kummer_base(table))
+        rep = verify.theorem_report(curve)
+        checks = {c.name: c for c in rep.checks}
+        assert rep.genus == {"formula": closed_form, "riemann_hurwitz": genus}
+        assert rep.census["total"] == total == curves.maximal_N(rep.q, genus)
+        assert checks["maximality"].passed
+        assert not checks["genus-cross-check"].passed
+        assert checks["genus-cross-check"].details == rep.genus
+        if curve.family == "GSX49":
+            assert checks["sixteenth-power-fiber-count"].passed
 
     def test_unknown_family_is_named(self):
         curve = curves.gsx49_curve()
